@@ -54,6 +54,10 @@ func main() {
 			"the twin scans the knob grid, the simulator confirms the top quarter")
 	profFlags := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	if err := harness.CheckNodes(*nodes); err != nil {
+		fmt.Fprintf(os.Stderr, "shrimpbench: -nodes: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *exp == "list" {
 		harness.PrintCatalog(os.Stdout)

@@ -80,6 +80,10 @@ func main() {
 	loadReplay := flag.String("load-replay", "", "replay a recorded request trace from this file (-load)")
 	profFlags := prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	if err := harness.CheckNodes(*nodes); err != nil {
+		fmt.Fprintf(os.Stderr, "shrimpsim: -nodes: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *loadConfig != "" {
 		runLoad(*loadConfig, *nodes, *offered, *quick, *twinMode, *loadRecord, *loadReplay)

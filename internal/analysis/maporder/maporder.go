@@ -32,30 +32,30 @@ var Analyzer = &analysis.Analyzer{
 // stream output. Name matching is deliberately coarse — a method
 // called Send or Record on any type is presumed order-sensitive.
 var effectCalls = map[string]string{
-	"Record":    "records a trace event",
-	"Latency":   "records a latency sample",
-	"Send":      "sends a packet",
-	"SendDU":    "sends a packet",
-	"SendAU":    "sends a packet",
-	"Push":      "enqueues work",
-	"At":        "schedules an event",
-	"After":     "schedules an event",
-	"Spawn":     "spawns a process",
-	"SpawnAt":   "spawns a process",
-	"NewTimer":  "schedules an event",
-	"Signal":    "wakes a waiter",
-	"Broadcast": "wakes waiters",
-	"Write":     "writes output",
+	"Record":      "records a trace event",
+	"Latency":     "records a latency sample",
+	"Send":        "sends a packet",
+	"SendDU":      "sends a packet",
+	"SendAU":      "sends a packet",
+	"Push":        "enqueues work",
+	"At":          "schedules an event",
+	"After":       "schedules an event",
+	"Spawn":       "spawns a process",
+	"SpawnAt":     "spawns a process",
+	"NewTimer":    "schedules an event",
+	"Signal":      "wakes a waiter",
+	"Broadcast":   "wakes waiters",
+	"Write":       "writes output",
 	"WriteString": "writes output",
-	"WriteByte": "writes output",
-	"Printf":    "writes output",
-	"Print":     "writes output",
-	"Println":   "writes output",
-	"Fprintf":   "writes output",
-	"Fprint":    "writes output",
-	"Fprintln":  "writes output",
-	"emit":      "writes output",
-	"Emit":      "writes output",
+	"WriteByte":   "writes output",
+	"Printf":      "writes output",
+	"Print":       "writes output",
+	"Println":     "writes output",
+	"Fprintf":     "writes output",
+	"Fprint":      "writes output",
+	"Fprintln":    "writes output",
+	"emit":        "writes output",
+	"Emit":        "writes output",
 }
 
 func run(pass *analysis.Pass) error {

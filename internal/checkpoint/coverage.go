@@ -106,11 +106,11 @@ func Covered() []TypeCoverage {
 			"freeAt": Captured, "busy": Captured, "id": Wiring,
 		}},
 		{addrSpaceT, map[string]Class{
-			"pages": Captured, "brk": Captured, "arenas": Captured,
+			"pages": Captured, "brk": Captured,
 			"Snoop": Wiring, "Fault": Wiring, "ck": Wiring,
 		}},
 		{fieldType(addrSpaceT, "pages"), map[string]Class{
-			"data": Captured, "mapped": Captured, "dirty": Captured, "prot": Captured,
+			"data": Captured, "mapped": Captured, "prot": Captured,
 		}},
 		{nicT, map[string]Class{
 			"cfg": Captured, "opt": Captured, "ipt": Captured, "optGen": Captured,

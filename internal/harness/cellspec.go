@@ -158,6 +158,15 @@ func ParseProtocol(s string) (p svm.Protocol, ok bool, err error) {
 	return 0, false, fmt.Errorf("harness: unknown protocol %q (want hlrc, hlrc-au or aurc)", s)
 }
 
+// CheckNodes is the machine-size rule shared by CellSpec.Compile, load
+// cells and the command-line tools.
+func CheckNodes(n int) error {
+	if n < 1 {
+		return fmt.Errorf("nodes must be >= 1, got %d", n)
+	}
+	return nil
+}
+
 // Compile resolves a CellSpec into a runnable Spec. Defaults are
 // filled exactly as the CLI tools fill them: empty Variant selects
 // DefaultVariant, empty Protocol applies no override, and unset knobs
@@ -167,8 +176,8 @@ func (c CellSpec) Compile() (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	if c.Nodes < 1 {
-		return Spec{}, fmt.Errorf("harness: cell %s: nodes must be >= 1, got %d", c.App, c.Nodes)
+	if err := CheckNodes(c.Nodes); err != nil {
+		return Spec{}, fmt.Errorf("harness: cell %s: %w", c.App, err)
 	}
 	spec := Spec{App: app, Nodes: c.Nodes, Variant: DefaultVariant(app)}
 	if v, ok, err := ParseVariant(c.Variant); err != nil {

@@ -105,8 +105,8 @@ const loadEncodingVersion = 1
 // Canonical returns the deterministic encoding of the cell — the
 // stream-seed root and the identity a result cache would key on.
 func (c LoadCell) Canonical() ([]byte, error) {
-	if c.Nodes < 1 {
-		return nil, fmt.Errorf("harness: load cell nodes must be >= 1, got %d", c.Nodes)
+	if err := CheckNodes(c.Nodes); err != nil {
+		return nil, fmt.Errorf("harness: load cell %w", err)
 	}
 	if c.Offered <= 0 {
 		return nil, fmt.Errorf("harness: load cell offered multiplier must be > 0, got %g", c.Offered)

@@ -91,7 +91,7 @@ type profile struct {
 	rpcBytes  float64  // mean response payload of those round trips
 	auBytes   float64  // automatic-update stream bytes
 	auStores  float64  // individual AU word stores
-	recvs     float64 // messages landing on the busiest rank
+	recvs     float64  // messages landing on the busiest rank
 	barriers  float64
 	faults    float64 // SVM page fetches
 	diffWords float64 // SVM diff words created + applied
@@ -622,10 +622,10 @@ func (tp *Predictor) PredictLoad(c LoadCell) ([]TwinLoadRow, error) {
 				p.ClientCost.Seconds()
 		}
 		classes = append(classes, classArr{"small", float64(small), gap,
-			occ(sm), s2(sm, 13.0 / 12.0 * sm * sm), 1, trans(sm, resp)})
+			occ(sm), s2(sm, 13.0/12.0*sm*sm), 1, trans(sm, resp)})
 		bm := float64(p.RPCBigBytes)
 		classes = append(classes, classArr{"big", float64(big), 4 * gap,
-			occ(bm), s2(bm, bm * bm), 1, trans(bm, resp)})
+			occ(bm), s2(bm, bm*bm), 1, trans(bm, resp)})
 	case "socket/du", "socket/au":
 		// Server occupancy: service charge CopyTime(size) plus the ring
 		// write copy of the size-byte response.

@@ -133,10 +133,10 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Close terminates any unfinished app processes and recycles each
-// node's page memory into the shared arena pool. Device engines are
-// continuation state machines with no goroutines to unwind; they simply
-// stop receiving events. The machine is unusable afterwards.
+// Close terminates any unfinished app processes and returns each
+// node's written page frames to the shared frame pool. Device engines
+// are continuation state machines with no goroutines to unwind; they
+// simply stop receiving events. The machine is unusable afterwards.
 func (m *Machine) Close() {
 	m.E.Shutdown()
 	for _, nd := range m.Nodes {

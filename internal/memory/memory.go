@@ -7,11 +7,20 @@
 // automatic-update transfers copy actual bytes between address spaces,
 // so applications compute verifiable results through the simulated
 // communication subsystem.
+//
+// Page storage is lazy. Mapping a page costs a few bytes of metadata;
+// its 4 KB frame is materialized by the first write and recycled,
+// zeroed, through a process-wide frame pool when the address space is
+// released. An unwritten page reads as zeroes. Most mapped pages are
+// never written — every proxy page of every VMMC import, and every SVM
+// region page a node never touches — so host memory follows the pages
+// a simulation writes, not the address space it maps.
 package memory
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"shrimp/internal/sim"
@@ -62,48 +71,50 @@ func (p Prot) String() string {
 
 //shrimp:state
 type page struct {
-	data   []byte
+	// data is the page's frame, materialized by the first write; nil
+	// means the page holds only zeroes. Most mapped pages (proxy pages
+	// of imports, SVM region pages a node never touches) stay nil, so
+	// mapping memory costs metadata, not storage.
+	data   *[PageSize]byte
 	mapped bool
-	// dirty records that the page may hold nonzero bytes, so Release
-	// zeroes only pages that were actually written. Any path that can
-	// modify data sets it, including PageData (whose caller may write).
-	dirty bool
-	prot  Prot
+	prot   Prot
 }
 
-// arenaPool recycles page arenas across address-space lifetimes. A full
-// experiment grid builds and discards hundreds of machines, and their
-// page memory (tens of gigabytes cumulatively) dominated runtime as
-// allocator and GC work; recycling reduces that to a memclr of the pages
-// each cell actually wrote. Arenas are pooled by exact size because cell
-// configurations repeat, so hit rates are near-perfect. The pool is
-// shared by all workers; the mutex is uncontended off the Alloc path.
-var arenaPool = struct {
+// zeroFrame backs every read of an unwritten page. It is never handed
+// to a caller that may write: every write path materializes a frame.
+var zeroFrame [PageSize]byte
+
+// framePool recycles zeroed page frames across address-space
+// lifetimes: a full experiment grid builds and discards hundreds of
+// machines, and reusing their written frames keeps that churn out of
+// the allocator and the GC. Every frame on the free list is all-zero.
+// The pool is shared by all workers; the mutex is uncontended off the
+// first-write path.
+var framePool struct {
 	sync.Mutex
-	bySize map[int][][]byte
-}{bySize: map[int][][]byte{}}
-
-// getArena returns a zeroed arena of exactly n bytes.
-func getArena(n int) []byte {
-	arenaPool.Lock()
-	free := arenaPool.bySize[n]
-	if len(free) > 0 {
-		a := free[len(free)-1]
-		free[len(free)-1] = nil
-		arenaPool.bySize[n] = free[:len(free)-1]
-		arenaPool.Unlock()
-		return a
-	}
-	arenaPool.Unlock()
-	return make([]byte, n)
+	free []*[PageSize]byte
 }
 
-// putArena returns an arena to the pool. The caller must have restored
-// it to all-zero (see Release).
-func putArena(a []byte) {
-	arenaPool.Lock()
-	arenaPool.bySize[len(a)] = append(arenaPool.bySize[len(a)], a)
-	arenaPool.Unlock()
+// getFrame returns a zeroed frame.
+func getFrame() *[PageSize]byte {
+	framePool.Lock()
+	if n := len(framePool.free); n > 0 {
+		f := framePool.free[n-1]
+		framePool.free[n-1] = nil
+		framePool.free = framePool.free[:n-1]
+		framePool.Unlock()
+		return f
+	}
+	framePool.Unlock()
+	return new([PageSize]byte)
+}
+
+// putFrame zeroes f and returns it to the pool.
+func putFrame(f *[PageSize]byte) {
+	clear(f[:])
+	framePool.Lock()
+	framePool.free = append(framePool.free, f)
+	framePool.Unlock()
 }
 
 // SnoopFunc observes a completed store to main memory. It runs at the
@@ -117,9 +128,8 @@ type FaultFunc func(p *sim.Proc, vpn int, write bool)
 
 // AddressSpace is one node's paged memory.
 type AddressSpace struct {
-	pages  []page
-	brk    Addr
-	arenas [][]byte // backing blocks, one per Alloc call, for Release
+	pages []page
+	brk   Addr
 
 	// Snoop, if set, is invoked after every CPU store (not DMA stores;
 	// see DMAWrite). This is the hook the NIC's AU logic attaches to.
@@ -142,25 +152,16 @@ func NewAddressSpace() *AddressSpace {
 }
 
 // Alloc maps npages fresh zeroed pages with read-write protection and
-// returns the base address of the run.
+// returns the base address of the run. No frame is allocated: a page
+// gets one on its first write.
 func (as *AddressSpace) Alloc(npages int) Addr {
 	if npages <= 0 {
 		panic("memory: Alloc of non-positive page count")
 	}
 	base := as.brk
-	// One arena (usually recycled, see arenaPool) backs the whole run:
-	// npages small makeslice calls would dominate machine construction
-	// time in page zeroing and span bookkeeping. Each page gets a
-	// capacity-capped view so an out-of-bounds append through PageData
-	// cannot silently bleed into its neighbor.
-	arena := getArena(npages * PageSize)
-	as.arenas = append(as.arenas, arena)
+	as.pages = slices.Grow(as.pages, npages)
 	for i := 0; i < npages; i++ {
-		as.pages = append(as.pages, page{
-			data:   arena[i*PageSize : (i+1)*PageSize : (i+1)*PageSize],
-			mapped: true,
-			prot:   ProtReadWrite,
-		})
+		as.pages = append(as.pages, page{mapped: true, prot: ProtReadWrite})
 	}
 	as.brk += Addr(npages * PageSize)
 	return base
@@ -171,21 +172,16 @@ func (as *AddressSpace) AllocBytes(n int) Addr {
 	return as.Alloc((n + PageSize - 1) / PageSize)
 }
 
-// Release zeroes every written page and returns the backing arenas to
-// the shared pool for the next machine to reuse. The address space is
-// unusable afterwards. Callers that skip Release (tests, one-shot runs)
-// simply leave their arenas to the garbage collector.
+// Release returns every written page's frame, zeroed, to the shared
+// pool for the next machine to reuse. The address space is unusable
+// afterwards. Callers that skip Release (tests, one-shot runs) simply
+// leave their frames to the garbage collector.
 func (as *AddressSpace) Release() {
 	for i := range as.pages {
-		pg := &as.pages[i]
-		if pg.dirty {
-			clear(pg.data)
+		if f := as.pages[i].data; f != nil {
+			putFrame(f)
 		}
 	}
-	for _, a := range as.arenas {
-		putArena(a)
-	}
-	as.arenas = nil
 	as.pages = nil
 	as.brk = 0
 	as.ck = nil
@@ -212,23 +208,40 @@ func (as *AddressSpace) SetProt(vpn int, p Prot) {
 }
 
 // PageData exposes the raw backing bytes of a page (for DMA engines,
-// twin creation, and diff application). The caller must respect the
-// simulation's timing discipline itself.
+// twin creation, and diff application). The caller may write through
+// the returned slice, so the page's frame is materialized. The caller
+// must respect the simulation's timing discipline itself.
 func (as *AddressSpace) PageData(vpn int) []byte {
 	as.check(vpn)
-	// The caller may write through the returned slice, so the page must
-	// be assumed dirty from here on.
-	if as.ck != nil {
-		as.ck.capture(vpn)
-	}
-	as.pages[vpn].dirty = true
-	return as.pages[vpn].data
+	return as.frame(vpn)[:]
 }
 
 func (as *AddressSpace) check(vpn int) {
 	if vpn < 0 || vpn >= len(as.pages) || !as.pages[vpn].mapped {
 		panic(fmt.Sprintf("memory: access to unmapped page %d", vpn))
 	}
+}
+
+// frame returns vpn's frame for writing: the active checkpoint captures
+// the page first, then an unwritten page gets a zeroed frame.
+func (as *AddressSpace) frame(vpn int) *[PageSize]byte {
+	if as.ck != nil {
+		as.ck.capture(vpn)
+	}
+	pg := &as.pages[vpn]
+	if pg.data == nil {
+		pg.data = getFrame()
+	}
+	return pg.data
+}
+
+// view returns vpn's bytes for reading; an unwritten page reads as
+// zeroes without allocating.
+func (as *AddressSpace) view(vpn int) *[PageSize]byte {
+	if f := as.pages[vpn].data; f != nil {
+		return f
+	}
+	return &zeroFrame
 }
 
 // ensure resolves protection for an access of kind write at vpn,
@@ -263,8 +276,7 @@ func (as *AddressSpace) Read(p *sim.Proc, addr Addr, buf []byte) {
 	for len(buf) > 0 {
 		vpn := addr.VPN()
 		as.ensure(p, vpn, false)
-		off := addr.Offset()
-		n := copy(buf, as.pages[vpn].data[off:])
+		n := copy(buf, as.view(vpn)[addr.Offset():])
 		buf = buf[n:]
 		addr += Addr(n)
 	}
@@ -276,12 +288,7 @@ func (as *AddressSpace) Write(p *sim.Proc, addr Addr, buf []byte) {
 	for len(buf) > 0 {
 		vpn := addr.VPN()
 		as.ensure(p, vpn, true)
-		off := addr.Offset()
-		if as.ck != nil {
-			as.ck.capture(vpn)
-		}
-		as.pages[vpn].dirty = true
-		n := copy(as.pages[vpn].data[off:], buf)
+		n := copy(as.frame(vpn)[addr.Offset():], buf)
 		if as.Snoop != nil {
 			as.Snoop(addr, n)
 		}
@@ -296,7 +303,7 @@ func (as *AddressSpace) ReadUint32(p *sim.Proc, addr Addr) uint32 {
 	as.ensure(p, vpn, false)
 	off := addr.Offset()
 	if off+4 <= PageSize {
-		return binary.LittleEndian.Uint32(as.pages[vpn].data[off:])
+		return binary.LittleEndian.Uint32(as.view(vpn)[off:])
 	}
 	var b [4]byte
 	as.Read(p, addr, b[:])
@@ -309,11 +316,7 @@ func (as *AddressSpace) WriteUint32(p *sim.Proc, addr Addr, v uint32) {
 	as.ensure(p, vpn, true)
 	off := addr.Offset()
 	if off+4 <= PageSize {
-		if as.ck != nil {
-			as.ck.capture(vpn)
-		}
-		as.pages[vpn].dirty = true
-		binary.LittleEndian.PutUint32(as.pages[vpn].data[off:], v)
+		binary.LittleEndian.PutUint32(as.frame(vpn)[off:], v)
 		if as.Snoop != nil {
 			as.Snoop(addr, 4)
 		}
@@ -330,7 +333,7 @@ func (as *AddressSpace) ReadUint64(p *sim.Proc, addr Addr) uint64 {
 	as.ensure(p, vpn, false)
 	off := addr.Offset()
 	if off+8 <= PageSize {
-		return binary.LittleEndian.Uint64(as.pages[vpn].data[off:])
+		return binary.LittleEndian.Uint64(as.view(vpn)[off:])
 	}
 	var b [8]byte
 	as.Read(p, addr, b[:])
@@ -343,11 +346,7 @@ func (as *AddressSpace) WriteUint64(p *sim.Proc, addr Addr, v uint64) {
 	as.ensure(p, vpn, true)
 	off := addr.Offset()
 	if off+8 <= PageSize {
-		if as.ck != nil {
-			as.ck.capture(vpn)
-		}
-		as.pages[vpn].dirty = true
-		binary.LittleEndian.PutUint64(as.pages[vpn].data[off:], v)
+		binary.LittleEndian.PutUint64(as.frame(vpn)[off:], v)
 		if as.Snoop != nil {
 			as.Snoop(addr, 8)
 		}
@@ -364,8 +363,7 @@ func (as *AddressSpace) DMARead(addr Addr, buf []byte) {
 	for len(buf) > 0 {
 		vpn := addr.VPN()
 		as.check(vpn)
-		off := addr.Offset()
-		n := copy(buf, as.pages[vpn].data[off:])
+		n := copy(buf, as.view(vpn)[addr.Offset():])
 		buf = buf[n:]
 		addr += Addr(n)
 	}
@@ -380,12 +378,7 @@ func (as *AddressSpace) DMAWrite(addr Addr, buf []byte) {
 	for len(buf) > 0 {
 		vpn := addr.VPN()
 		as.check(vpn)
-		off := addr.Offset()
-		if as.ck != nil {
-			as.ck.capture(vpn)
-		}
-		as.pages[vpn].dirty = true
-		n := copy(as.pages[vpn].data[off:], buf)
+		n := copy(as.frame(vpn)[addr.Offset():], buf)
 		buf = buf[n:]
 		addr += Addr(n)
 	}

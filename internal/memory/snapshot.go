@@ -7,13 +7,15 @@ package memory
 // BeginSnapshot copies only per-page metadata (O(pages), a few bytes
 // each) and arms copy-on-write: every write path in memory.go calls
 // capture(vpn) before the first post-snapshot modification of a page,
-// which saves the page's pristine contents (or just notes it if the
-// page was clean, i.e. all-zero — Release's invariant). Restore then
-// rewinds exactly the touched pages and truncates any post-snapshot
-// allocations, so a branch that dirtied k pages restores in O(k).
+// which saves the page's pristine contents if it had a frame (or just
+// notes it if it had none, i.e. read as all-zero). Restore then
+// rewinds exactly the touched pages — copying saved contents back, or
+// returning frames materialized since the snapshot to the pool — and
+// truncates any post-snapshot allocations, so a branch that wrote k
+// pages restores in O(k).
 //
 // The capture set is cumulative across branches: a page saved once
-// stays saved, so re-dirtying it in a later branch skips the copy and
+// stays saved, so re-writing it in a later branch skips the copy and
 // Restore still rewinds it to the snapshot contents.
 
 // pageMeta is the snapshot copy of one page's bookkeeping.
@@ -21,7 +23,6 @@ package memory
 //shrimp:state
 type pageMeta struct {
 	mapped bool
-	dirty  bool
 	prot   Prot
 }
 
@@ -31,16 +32,15 @@ type Snapshot struct {
 	as     *AddressSpace
 	npages int
 	brk    Addr
-	arenas int
 	meta   []pageMeta
 
 	// touched marks pages written since the snapshot; touchedList holds
 	// them in first-touch order so Restore is O(touched). saved holds a
-	// pristine copy for pages that were dirty at snapshot time; touched
-	// pages with a nil saved entry were all-zero and are re-zeroed.
+	// pristine copy for pages that had a frame at snapshot time; touched
+	// pages with a nil saved entry had none and lose their frame again.
 	touched     []bool //shrimp:nostate captured: first-touch dedup index over touchedList, which Restore walks instead
 	touchedList []int
-	saved       [][]byte
+	saved       []*[PageSize]byte
 }
 
 // BeginSnapshot captures the address space and arms copy-on-write.
@@ -54,14 +54,13 @@ func (as *AddressSpace) BeginSnapshot() *Snapshot {
 		as:      as,
 		npages:  np,
 		brk:     as.brk,
-		arenas:  len(as.arenas),
 		meta:    make([]pageMeta, np),
 		touched: make([]bool, np),
-		saved:   make([][]byte, np),
+		saved:   make([]*[PageSize]byte, np),
 	}
 	for i := range as.pages {
 		pg := &as.pages[i]
-		ck.meta[i] = pageMeta{mapped: pg.mapped, dirty: pg.dirty, prot: pg.prot}
+		ck.meta[i] = pageMeta{mapped: pg.mapped, prot: pg.prot}
 	}
 	as.ck = ck
 	return ck
@@ -69,53 +68,51 @@ func (as *AddressSpace) BeginSnapshot() *Snapshot {
 
 // capture saves a page's pristine contents before its first
 // post-snapshot write. Pages allocated after the snapshot need no
-// saving: Restore unmaps them wholesale.
+// saving: Restore unmaps them wholesale. Every frame materialized
+// since the snapshot passed through here first, so a page's frame at
+// its first capture is the one it had at the snapshot.
 func (ck *Snapshot) capture(vpn int) {
 	if vpn >= ck.npages || ck.touched[vpn] {
 		return
 	}
 	ck.touched[vpn] = true
 	ck.touchedList = append(ck.touchedList, vpn)
-	if ck.meta[vpn].dirty {
-		buf := make([]byte, PageSize)
-		copy(buf, ck.as.pages[vpn].data)
-		ck.saved[vpn] = buf
+	if f := ck.as.pages[vpn].data; f != nil {
+		saved := *f
+		ck.saved[vpn] = &saved
 	}
-	// A clean page held only zeroes (Release's invariant); Restore
-	// re-zeroes it without needing a copy.
 }
 
 // Restore rewinds the address space to the snapshot: post-snapshot
-// allocations are unmapped and their arenas recycled, touched pages get
-// their pristine contents back, and per-page metadata (protection,
-// dirty bits) is reset for every page. Copy-on-write stays armed, so
-// the snapshot can be restored again after further writes.
+// allocations are unmapped and their frames recycled, touched pages get
+// their pristine contents back (or give back the frame they gained),
+// and per-page metadata (protection) is reset for every page.
+// Copy-on-write stays armed, so the snapshot can be restored again
+// after further writes.
 func (ck *Snapshot) Restore() {
 	as := ck.as
 	if as.ck != ck {
 		panic("memory: restoring a detached snapshot")
 	}
-	// Unmap pages allocated after the snapshot, returning their arenas
-	// zeroed (the same contract Release keeps with the arena pool).
-	for i := ck.npages; i < len(as.pages); i++ {
-		pg := &as.pages[i]
-		if pg.dirty {
-			clear(pg.data)
+	// Unmap pages allocated after the snapshot, returning their frames
+	// to the pool.
+	tail := as.pages[ck.npages:]
+	for i := range tail {
+		if f := tail[i].data; f != nil {
+			putFrame(f)
 		}
 	}
-	for _, a := range as.arenas[ck.arenas:] {
-		putArena(a)
-	}
-	as.arenas = as.arenas[:ck.arenas]
+	clear(tail)
 	as.pages = as.pages[:ck.npages]
 	as.brk = ck.brk
 	// Rewind touched page contents.
 	for _, vpn := range ck.touchedList {
 		pg := &as.pages[vpn]
-		if buf := ck.saved[vpn]; buf != nil {
-			copy(pg.data, buf)
-		} else {
-			clear(pg.data)
+		if saved := ck.saved[vpn]; saved != nil {
+			*pg.data = *saved
+		} else if pg.data != nil {
+			putFrame(pg.data)
+			pg.data = nil
 		}
 	}
 	// Reset metadata for every surviving page (protection can change
@@ -124,7 +121,6 @@ func (ck *Snapshot) Restore() {
 		m := ck.meta[i]
 		pg := &as.pages[i]
 		pg.mapped = m.mapped
-		pg.dirty = m.dirty
 		pg.prot = m.prot
 	}
 }

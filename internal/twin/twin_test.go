@@ -151,8 +151,8 @@ func TestBarrierScaling(t *testing.T) {
 // M/D/1 half-wait property (deterministic service halves the queueing
 // delay relative to exponential).
 func TestMG1(t *testing.T) {
-	lambda := 4000.0  // req/s
-	es := 100e-6      // 100 us mean service
+	lambda := 4000.0 // req/s
+	es := 100e-6     // 100 us mean service
 	for _, rho := range []float64{0.1, 0.4, 0.8} {
 		l := rho / es
 		mm1 := MM1Sojourn(l, es)
