@@ -1,27 +1,28 @@
-// Package nogoroutine forbids go statements outside the two files that
-// are allowed to create concurrency, and confines simulation-process
-// creation (sim.Engine.Spawn / SpawnAt) to the layers that still need
-// it.
+// Package nogoroutine forbids go statements outside the harness files
+// that are allowed to create concurrency, and confines
+// simulation-process creation (sim.Engine.Spawn / SpawnAt) to the
+// layers that still need it.
 //
-// The simulator is logically single-threaded: exactly one goroutine
-// owns the engine at any instant, handing ownership through resume
-// channels (internal/sim/engine.go), and the only fan-out is the
-// harness worker pool that runs independent cells (internal/harness/
-// parallel.go). A goroutine spawned anywhere else either races the
-// engine owner — destroying the (t, seq) event ordering the paper's
-// figures depend on — or runs allocation off the books, breaking the
-// AllocsPerRun=0 accounting. New concurrency entry points must be
-// designed, not sprinkled; extend the allowlist in this file only with
-// a scheme that preserves both invariants.
+// The simulator is single-threaded: simulation processes are iter.Pull
+// coroutines that one event loop resumes in turn (internal/sim), so the
+// engine itself contains no go statement. The only fan-out is the
+// harness worker pools that run independent cells and prefix units
+// (internal/harness/parallel.go, prefix.go). A goroutine spawned
+// anywhere else either races the event loop — destroying the (t, seq)
+// event ordering the paper's figures depend on — or runs allocation off
+// the books, breaking the AllocsPerRun=0 accounting. New concurrency
+// entry points must be designed, not sprinkled; extend the allowlist in
+// this file only with a scheme that preserves both invariants.
 //
-// Spawn confinement is the per-packet corollary: since PR 6, device
-// engines are continuation state machines (sim.Seq, Queue.PopFn,
-// Resource.AcquireFn) that dispatch as inline fn events with zero
-// goroutine handoffs. Processes — which cost two channel operations per
-// wakeup — are reserved for application code, where the blocking style
-// carries real expressive weight and wakeups are rare. A Spawn call in
-// a device-side package silently reintroduces the handoff tax this PR
-// removed, so the rule makes it loud.
+// Spawn confinement is the per-packet corollary: device engines are
+// continuation state machines (sim.Seq, Queue.PopFn,
+// Resource.AcquireFn) that dispatch as inline fn events with no process
+// switch. Processes — whose every wakeup by another process costs a
+// coroutine yield to the event loop and a resume — are reserved for
+// application code, where the blocking style carries real expressive
+// weight and wakeups are rare. A Spawn call in a device-side package
+// silently reintroduces that per-packet switch cost, so the rule makes
+// it loud.
 package nogoroutine
 
 import (
@@ -39,7 +40,6 @@ import (
 // connection handling is concurrency by design, not a leak into the
 // simulator.
 var allowedFiles = []string{
-	"internal/sim/engine.go",       // ownership-token scheduler
 	"internal/harness/parallel.go", // experiment-cell worker pool
 	"internal/harness/prefix.go",   // prefix-sharing unit pool: same shape as parallel.go, units instead of cells
 }
@@ -59,7 +59,7 @@ var spawnAllowedPkgs = map[string]bool{
 // Analyzer is the nogoroutine rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "nogoroutine",
-	Doc: "forbid go statements outside the engine scheduler and the harness worker pool; " +
+	Doc: "forbid go statements outside the harness worker pools; " +
 		"stray goroutines break deterministic event ordering and zero-alloc accounting",
 	Run: run,
 }
@@ -92,7 +92,7 @@ func run(pass *analysis.Pass) error {
 					pass.Reportf(n.Pos(),
 						"sim.Engine.%s outside the process allowlist; device-side code runs as "+
 							"continuation state machines (sim.Seq, Queue.PopFn, Resource.AcquireFn) "+
-							"so the per-packet hot path has no goroutine handoffs — processes are "+
+							"so the per-packet hot path has no process switches — processes are "+
 							"reserved for internal/machine app code", n.Sel.Name)
 				}
 			}

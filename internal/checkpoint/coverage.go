@@ -93,9 +93,8 @@ func Covered() []TypeCoverage {
 		{engineT, map[string]Class{
 			"now": Captured, "seq": Captured, "all": Captured, "stopped": Captured,
 			"events": Asserted, "nowq": Asserted, "nowqAt": Asserted,
-			"live": Asserted, "blocked": Asserted, "running": Asserted,
-			"free": Wiring, "limit": Wiring, "limited": Wiring,
-			"mainResume": Wiring, "killAck": Wiring, "tr": Wiring,
+			"live": Asserted, "blocked": Asserted, "running": Asserted, "handoff": Asserted,
+			"free": Wiring, "limit": Wiring, "limited": Wiring, "idle": Wiring, "tr": Wiring,
 		}},
 		{networkT, map[string]Class{
 			"links": Captured, "stats": Captured,
@@ -134,7 +133,7 @@ func Covered() []TypeCoverage {
 		{nodeT, map[string]Class{
 			"Mem": Captured, "NIC": Captured, "Acct": Captured,
 			"Bus": Asserted, "CPU": Captured,
-			"ID": Wiring, "M": Wiring, "notify": Wiring,
+			"ID": Wiring, "M": Wiring, "notify": Wiring, "notifyName": Wiring,
 		}},
 		{cpuT, map[string]Class{
 			// accum/pending/stolen carry across phase boundaries (a handler
@@ -146,7 +145,7 @@ func Covered() []TypeCoverage {
 			"pageToExport": Captured, "nextExport": Captured,
 			"deliveries": Captured, "notifyBlocked": Captured,
 			"recvCond": Asserted, "notifyQueue": Asserted,
-			"Node": Wiring, "sys": Wiring, "tr": Wiring,
+			"Node": Wiring, "sys": Wiring, "tr": Wiring, "notifyQName": Wiring,
 		}},
 		{exportT, map[string]Class{
 			"deliveries": Captured, "notify": Captured,

@@ -77,7 +77,8 @@ type Node struct {
 	CPU  *CPU
 	Acct *stats.Node
 
-	notify func(p *sim.Proc, pkt *nic.Packet) //shrimp:nostate wiring: dispatch hook attached by the vmmc layer at construction
+	notify     func(p *sim.Proc, pkt *nic.Packet) //shrimp:nostate wiring: dispatch hook attached by the vmmc layer at construction
+	notifyName string                             //shrimp:nostate wiring: diagnostic name of notification handlers, fixed per node
 }
 
 // Machine is the whole system.
@@ -122,6 +123,8 @@ func New(cfg Config) *Machine {
 			Mem:  memory.NewAddressSpace(),
 			Bus:  sim.NewResource(e),
 			Acct: m.Acct.Nodes[i],
+
+			notifyName: fmt.Sprintf("notify@%d", i),
 		}
 		nd.CPU = &CPU{node: nd, acct: m.Acct.Nodes[i], maxAccum: cfg.MaxAccum}
 		nd.NIC = nic.New(e, nd.ID, m.Net, nd.Mem, nd.Bus, nd.Acct, cfg.NIC)
@@ -224,7 +227,7 @@ func (nd *Node) raiseInterrupt(kind nic.InterruptKind, pkt *nic.Packet) {
 		// original.
 		pkt = pkt.Clone()
 		dispatch := nd.M.Cfg.Cost.NotifyDispatchCost
-		nd.SpawnHandler(fmt.Sprintf("notify@%d", nd.ID), func(p *sim.Proc, c *CPU) {
+		nd.SpawnHandler(nd.notifyName, func(p *sim.Proc, c *CPU) {
 			c.ChargeOverhead(cost + dispatch)
 			c.Flush(p)
 			if nd.notify != nil {

@@ -201,8 +201,8 @@ type NIC struct {
 
 	// Continuation engines. The three device engines are event-driven
 	// state machines (sim.Seq), not processes: their steps execute as
-	// inline fn events in whatever goroutine owns the engine, so a
-	// simulated packet costs zero goroutine handoffs. Embedded by value
+	// inline fn events wherever the event loop is running, so a
+	// simulated packet costs zero process switches. Embedded by value
 	// and initialized by Start through one dispatch method each, so
 	// building a NIC costs two allocations per engine rather than one
 	// per step.

@@ -2,11 +2,11 @@ package sim
 
 import "testing"
 
-// BenchmarkProcSwitch measures the goroutine-handoff cost of the
-// process style: two processes ping-pong through a pair of Conds, so
-// every round is two park/wake cycles — four channel operations and two
-// OS-thread handoffs in the worst case. This is the per-packet overhead
-// the continuation engines eliminate.
+// BenchmarkProcSwitch measures the switch cost of the process style:
+// two processes ping-pong through a pair of Conds, so every round is
+// two park/wake cycles, each a coroutine yield to Engine.run and a
+// resume of the other process. This is the per-wakeup overhead the
+// continuation engines eliminate.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
 	ping := NewCond(e)
@@ -32,9 +32,27 @@ func BenchmarkProcSwitch(b *testing.B) {
 	e.Shutdown()
 }
 
+// BenchmarkSpawn measures the cost of a short-lived process in steady
+// state: spawn it, run it to completion, and return its coroutine to the
+// engine's idle pool for the next iteration.
+func BenchmarkSpawn(b *testing.B) {
+	e := NewEngine()
+	body := func(p *Proc) { p.Sleep(1) }
+	e.Spawn("warm", body)
+	e.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Spawn("short", body)
+		e.Run()
+	}
+	b.StopTimer()
+	e.Shutdown()
+}
+
 // BenchmarkFnEventDispatch measures the same ping-pong expressed as
 // continuation callbacks: each round is two fn events dispatched inline
-// by the scheduler, with no goroutine handoffs. The ratio against
+// by the event loop, with no coroutine switches. The ratio against
 // BenchmarkProcSwitch is the per-wakeup saving of the continuation
 // engines (tentpole of PR 6).
 func BenchmarkFnEventDispatch(b *testing.B) {

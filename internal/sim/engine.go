@@ -7,8 +7,8 @@ import (
 )
 
 // event is a single entry in the engine's calendar. Exactly one of fn and
-// proc is set: fn events run inline in whatever goroutine owns the engine
-// (no scheduler round-trip); proc events transfer control to a parked
+// proc is set: fn events run inline wherever the event loop is running
+// (Engine.run or a parking process); proc events resume a parked
 // process.
 type event struct {
 	t        Time
@@ -49,14 +49,16 @@ func less(a, b *event) bool {
 //   - Fired and canceled events are recycled through a freelist, so a
 //     steady-state simulation allocates no event structures.
 //
-//   - There is no dedicated scheduler goroutine at run time. Engine
-//     ownership is a token: the goroutine that yields (a parking process,
-//     or the Run caller) runs the event loop itself and hands control
-//     directly to the next process. A process-to-process switch costs one
-//     channel handoff instead of two, and a process that pops its own
-//     wakeup (or any fn event) continues with no handoff at all. Exactly
-//     one goroutine owns the engine at any instant, so the simulation
-//     stays logically single-threaded and bit-for-bit deterministic.
+//   - Processes are coroutines, not goroutines. Each Proc body runs on
+//     an iter.Pull coroutine taken from a per-engine pool, and Run's
+//     loop is the one place that resumes them. A parking process keeps
+//     dispatching events itself: fn events run inline and its own
+//     wakeup returns with no switch at all. Only a proc event for
+//     another process yields, leaving that process in the handoff slot
+//     for the loop to resume. Coroutine switches never go through the
+//     Go scheduler, and exactly one coroutine runs at any instant, so
+//     the simulation stays single-threaded and bit-for-bit
+//     deterministic.
 //
 //   - High-frequency actors avoid processes entirely. The blocking
 //     primitives have continuation counterparts — Cond.WaitFn,
@@ -64,11 +66,11 @@ func less(a, b *event) bool {
 //     schedule plain fn events at exactly the (t, seq) calendar positions
 //     where the corresponding process wakeups would sit. Device engines
 //     (internal/nic) run this way: their per-packet work dispatches
-//     inline in the engine-owning goroutine with zero channel handoffs,
-//     while app code (internal/machine) keeps the expressive blocking
-//     style for its rare wakeups. Mixing the two styles on one Cond,
-//     Resource, or Queue is legal; waiters of either kind are granted in
-//     arrival order. See docs/engine.md for the determinism argument.
+//     inline with zero coroutine switches, while app code
+//     (internal/machine) keeps the expressive blocking style for its
+//     rare wakeups. Mixing the two styles on one Cond, Resource, or
+//     Queue is legal; waiters of either kind are granted in arrival
+//     order. See docs/engine.md for the determinism argument.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -83,12 +85,12 @@ type Engine struct {
 	limit   Time //shrimp:nostate wiring: set afresh by every RunUntil call
 	limited bool //shrimp:nostate wiring: set afresh by every RunUntil call
 
-	// mainResume wakes the Run/RunUntil caller when the calendar drains
-	// or Stop takes effect while a process owns the engine.
-	mainResume chan struct{} //shrimp:nostate wiring: host-side handshake channel, identical across branches
-	// killAck is the Shutdown handshake: each killed process signals it
-	// as its goroutine unwinds.
-	killAck chan struct{} //shrimp:nostate wiring: host-side handshake channel, identical across branches
+	// handoff is the process a parking process popped for Engine.run
+	// to resume after it yields; nil except during that one switch.
+	handoff *Proc //shrimp:nostate asserted: Quiescent requires an empty handoff slot
+	// idle holds the coroutines whose bodies have returned, ready for
+	// the next Spawn.
+	idle []*worker //shrimp:nostate wiring: pool of finished coroutines, interchangeable across branches
 
 	live    int     //shrimp:nostate asserted: Quiescent requires zero live processes
 	blocked int     //shrimp:nostate asserted: Quiescent requires zero blocked processes
@@ -103,16 +105,11 @@ type Engine struct {
 	tr *trace.Recorder //shrimp:nostate wiring: tracer identity is per-run configuration, not rewindable state
 }
 
-// killSignal unwinds a process goroutine during Shutdown.
+// killSignal unwinds a process coroutine during Shutdown.
 type killSignal struct{}
 
 // NewEngine returns an empty simulation at time zero.
-func NewEngine() *Engine {
-	return &Engine{
-		mainResume: make(chan struct{}),
-		killAck:    make(chan struct{}),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -266,16 +263,15 @@ func (e *Engine) next() *event {
 	}
 }
 
-// schedule runs the event loop in the calling process's goroutine, which
-// must own the engine. It returns when an event resumes self — either
-// popped directly (no handoff) or, after ownership was transferred away,
-// when another owner signals self's resume channel. On drain or stop it
-// wakes the Run caller first.
-func (e *Engine) schedule(self *Proc) {
+// dispatch runs fn events inline until a proc event pops, and returns
+// that event's process; nil when the calendar drains (up to the RunUntil
+// limit) or Stop takes effect. Engine.run and parking processes both
+// drive the calendar through it.
+func (e *Engine) dispatch() *Proc {
 	for !e.stopped {
 		ev := e.next()
 		if ev == nil {
-			break
+			return nil
 		}
 		e.now = ev.t
 		if ev.fn != nil {
@@ -286,44 +282,9 @@ func (e *Engine) schedule(self *Proc) {
 		}
 		q := ev.proc
 		e.recycle(ev)
-		if q == self {
-			// Self-wakeup: continue without any goroutine switch.
-			return
-		}
-		// Hand the engine to q, then sleep until self's next event pops.
-		q.resume <- struct{}{}
-		<-self.resume
-		return
+		return q
 	}
-	// Calendar drained (or Stop): hand control back to the Run caller,
-	// then sleep like any parked process.
-	e.mainResume <- struct{}{}
-	<-self.resume
-}
-
-// scheduleExit keeps the event loop alive as a process goroutine dies:
-// it transfers engine ownership to the next runnable process (running any
-// intervening fn events inline) or, if the calendar is done, to the Run
-// caller. Unlike schedule it never waits — the caller is exiting.
-func (e *Engine) scheduleExit() {
-	for !e.stopped {
-		ev := e.next()
-		if ev == nil {
-			break
-		}
-		e.now = ev.t
-		if ev.fn != nil {
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
-			continue
-		}
-		q := ev.proc
-		e.recycle(ev)
-		q.resume <- struct{}{}
-		return
-	}
-	e.mainResume <- struct{}{}
+	return nil
 }
 
 // At schedules fn to run in engine context at time t. Scheduling in the
@@ -361,34 +322,10 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 
 // SpawnAt creates a new simulation process that begins executing at time t.
 func (e *Engine) SpawnAt(t Time, name string, body func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name, w: e.getWorker()}
+	p.w.p, p.w.body = p, body
 	e.live++
 	e.all = append(e.all, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSignal); !ok {
-					panic(r) // real failure: crash loudly
-				}
-			}
-			p.finished = true
-			e.live--
-			if p.killed {
-				// Shutdown handshake: the killer is waiting, not the
-				// event loop.
-				e.killAck <- struct{}{}
-				return
-			}
-			// Normal completion: this goroutine owns the engine. Keep the
-			// loop going as it unwinds.
-			e.scheduleExit()
-		}()
-		if p.killed {
-			panic(killSignal{})
-		}
-		body(p)
-	}()
 	ev := e.alloc()
 	ev.t = t
 	ev.proc = p
@@ -399,9 +336,11 @@ func (e *Engine) SpawnAt(t Time, name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// Shutdown terminates every unfinished process (device engines that
-// loop forever, deadlocked waiters) so their goroutines exit. Call only
-// after Run has returned; the engine is unusable afterwards.
+// Shutdown terminates every unfinished process (deadlocked waiters,
+// processes never resumed) and the idle coroutine pool, so no coroutine
+// outlives the engine. A parked process unwinds with killSignal, running
+// its deferred calls. Call only after Run has returned or panicked; the
+// engine is unusable afterwards.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown during Run")
@@ -410,10 +349,15 @@ func (e *Engine) Shutdown() {
 		if p.finished {
 			continue
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.killAck
+		p.w.stop()
+		p.w = nil
+		p.finished = true
+		e.live--
 	}
+	for _, w := range e.idle {
+		w.stop()
+	}
+	e.idle = nil
 	e.all = nil
 	e.events = nil
 	e.nowq = nil
@@ -432,28 +376,18 @@ func (e *Engine) wake(p *Proc, t Time) {
 	e.push(ev)
 }
 
-// run is the shared Run/RunUntil body: the caller's goroutine owns the
-// engine until it transfers to a process, after which ownership wanders
-// from process to process and returns via mainResume on drain or stop.
+// run is the shared Run/RunUntil body and the only place that resumes
+// a process coroutine. A resumed process returns control here when it
+// finishes, when its own dispatch drains or stops the calendar, or when
+// it pops another process's event, which it leaves in e.handoff to be
+// resumed next. A panic in a process body or in a fn event it ran
+// propagates out of next, and so out of Run.
 func (e *Engine) run() {
-	for !e.stopped {
-		ev := e.next()
-		if ev == nil {
-			return
+	for q := e.dispatch(); q != nil; q = e.dispatch() {
+		for q != nil {
+			q.w.next()
+			q, e.handoff = e.handoff, nil
 		}
-		e.now = ev.t
-		if ev.fn != nil {
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
-			continue
-		}
-		q := ev.proc
-		e.recycle(ev)
-		q.resume <- struct{}{}
-		<-e.mainResume
-		// Control only returns here when the simulation stopped or
-		// drained; re-checking the loop condition re-derives which.
 	}
 }
 

@@ -1,15 +1,14 @@
 package sim
 
-// Proc is a simulation process: a goroutine whose execution is
-// interleaved with all other processes under control of the Engine, so
-// that exactly one process runs at a time and virtual time only advances
-// while every process is parked.
+// Proc is a simulation process: a body running on a pooled coroutine
+// whose execution is interleaved with all other processes under control
+// of the Engine, so that exactly one process runs at a time and virtual
+// time only advances while every process is parked.
 type Proc struct {
 	e        *Engine
 	name     string
-	resume   chan struct{}
+	w        *worker // coroutine running the body; nil once finished
 	finished bool
-	killed   bool
 	ctx      any
 }
 
@@ -30,17 +29,20 @@ func (p *Proc) Engine() *Engine { return p.e }
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// park yields control to the engine and blocks until some event resumes
-// this process. The caller must have arranged for a wakeup (a scheduled
-// event or registration on a Cond) or the process deadlocks. The yielding
-// goroutine runs the event loop itself (see Engine.schedule), so parking
-// costs at most one channel handoff — and none at all when this process's
-// own wakeup is the next event.
+// park blocks until some event resumes this process. The caller must
+// have arranged for a wakeup (a scheduled event or registration on a
+// Cond) or the process deadlocks. Parking runs fn events inline in the
+// parking coroutine (see Engine.dispatch) and returns with no switch at
+// all when this process's own wakeup is the next event. Only when
+// another process is due does it leave that process in the engine's
+// handoff slot and yield to Engine.run, which resumes it.
 func (p *Proc) park() {
-	p.e.schedule(p)
-	if p.killed {
-		panic(killSignal{})
+	q := p.e.dispatch()
+	if q == p {
+		return
 	}
+	p.e.handoff = q
+	p.suspend()
 }
 
 // Sleep advances this process's local time by d, yielding to the engine.

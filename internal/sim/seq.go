@@ -14,7 +14,7 @@ const Wait Ctl = -1
 
 // Seq drives a continuation-based state machine through a fixed list of
 // steps, replacing a blocking process loop with inline fn events that
-// the engine dispatches with zero goroutine handoffs.
+// the engine dispatches with zero process switches.
 //
 // Each step is a func() Ctl — typically a bound method on the owning
 // device, built once at construction so the steady state allocates

@@ -7,8 +7,8 @@ import "fmt"
 // number. Quiescent means the calendar is fully drained (empty heap,
 // empty same-instant FIFO), no process is live or blocked, and no Run
 // is in progress — exactly the state between two RunParallel phases.
-// Everything else in the Engine is wiring (channels, the event
-// freelist, the tracer) or dead bookkeeping (finished processes), and
+// Everything else in the Engine is wiring (the idle coroutine pool, the
+// event freelist, the tracer) or dead bookkeeping (finished processes), and
 // restoring (now, seq) makes every subsequent Spawn/At/After reproduce
 // the identical (t, seq) calendar a cold run would build.
 
@@ -35,6 +35,8 @@ func (e *Engine) Quiescent() error {
 		return fmt.Errorf("sim: %d live processes: %v", e.live, e.UnfinishedNames())
 	case e.blocked != 0:
 		return fmt.Errorf("sim: %d blocked processes", e.blocked)
+	case e.handoff != nil:
+		return fmt.Errorf("sim: process %s awaiting handoff", e.handoff.name)
 	}
 	return nil
 }

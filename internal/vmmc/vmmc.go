@@ -34,10 +34,11 @@ func NewSystem(m *machine.Machine) *System {
 	s := &System{M: m}
 	for _, nd := range m.Nodes {
 		ep := &Endpoint{
-			Node:     nd,
-			sys:      s,
-			recvCond: sim.NewCond(m.E),
-			tr:       m.E.Tracer(),
+			Node:        nd,
+			sys:         s,
+			recvCond:    sim.NewCond(m.E),
+			notifyQName: fmt.Sprintf("notify-q@%d", nd.ID),
+			tr:          m.E.Tracer(),
 		}
 		nd.NIC.OnDeliver = ep.onDeliver
 		nd.SetNotifyDispatch(ep.dispatchNotify)
@@ -67,6 +68,7 @@ type Endpoint struct {
 	// Notification blocking (§2.2): while blocked, notifications queue.
 	notifyBlocked bool
 	notifyQueue   []*nic.Packet //shrimp:nostate asserted: Quiescent requires no queued notifications; Restore re-empties it
+	notifyQName   string        //shrimp:nostate wiring: diagnostic name of queued-notification handlers, fixed per node
 
 	// tr is the attached trace recorder (nil when tracing is off).
 	tr *trace.Recorder //shrimp:nostate wiring: tracer identity is per-run configuration
@@ -333,7 +335,7 @@ func (ep *Endpoint) UnblockNotifications() {
 	ep.notifyQueue = nil
 	for _, pkt := range queued {
 		pkt := pkt
-		ep.Node.SpawnHandler(fmt.Sprintf("notify-q@%d", ep.Node.ID), func(p *sim.Proc, c *machine.CPU) {
+		ep.Node.SpawnHandler(ep.notifyQName, func(p *sim.Proc, c *machine.CPU) {
 			c.ChargeOverhead(ep.Node.M.Cfg.Cost.NotifyDispatchCost)
 			c.Flush(p)
 			ep.deliverNotify(p, pkt)
