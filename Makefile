@@ -55,8 +55,9 @@ calibrate:
 	BIN=$(GOBIN) bash scripts/calibrate_check.sh
 
 # serve-smoke boots shrimpd and checks the HTTP API end to end: health,
-# NDJSON results byte-identical to shrimpbench -json, cache hits on a
-# repeated job, and a clean SIGTERM drain.
+# a 400 for an out-of-domain knob with the daemon still up, NDJSON
+# results byte-identical to shrimpbench -json, cache hits on a repeated
+# job, and a clean SIGTERM drain.
 serve-smoke:
 	BIN=$(GOBIN) bash scripts/serve_smoke.sh
 

@@ -1,8 +1,8 @@
-// Shrimpvet is the repo's determinism and hot-path vet suite: ten
+// Shrimpvet is the repo's determinism and hot-path vet suite: nine
 // analyzers that enforce, at compile time, the invariants every
 // experiment number depends on at run time — six per-function
-// syntactic rules and four interprocedural ones (continuation safety,
-// checkpoint coverage, Seq machine shape, pointer-identity leaks).
+// syntactic rules and three interprocedural ones (continuation safety,
+// checkpoint coverage, pointer-identity leaks).
 //
 // Standalone:
 //

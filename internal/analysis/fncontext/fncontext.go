@@ -1,23 +1,24 @@
 // Package fncontext rejects blocking calls reachable from fn-event
 // continuation context, across package boundaries.
 //
-// PR 6 rebuilt the device engines on continuations: sim.Seq step
-// functions, Queue.PopFn/Cond.WaitFn/Resource.AcquireFn callbacks and
+// The device engines run on continuations: the NIC's pipeline stages,
+// Queue.PopFn/Cond.WaitFn/Resource.AcquireFn callbacks and
 // Engine.At/After/NewTimer fn events all execute inline in engine
-// context, where there is no process to park — a call to Queue.Pop,
-// Cond.Wait, Resource.Acquire/Use or Proc.Sleep from there panics at
-// runtime ("block of nil proc"), and only on the code path a test
-// happens to execute. This analyzer turns that runtime panic into a
-// compile-time diagnostic naming the call path.
+// context, where there is no process to park. internal/sim does not
+// check for this at run time: a call to Queue.Pop, Cond.Wait,
+// Resource.Acquire/Use or Proc.Sleep from there, handed a nil proc,
+// dies on a nil-pointer dereference — and only on the code path a test
+// happens to execute. This analyzer turns that into a compile-time
+// diagnostic naming the call path.
 //
 // The continuation roots are declared, not guessed: a function whose
 // doc comment carries //shrimp:continuation marks its func-typed
 // parameters as continuation entry points (sim.Engine.At/After/
-// NewTimer, Queue.PopFn, Cond.WaitFn, Resource.AcquireFn, Seq.Init,
-// NewSeq, mesh.Network.Attach), and a func-typed struct field carrying
-// the directive marks every value assigned to it as running in
-// continuation context (nic.NIC.RaiseInterrupt/OnDeliver, the NIC
-// engine re-arm hooks, mesh.Packet's delivery thunk, the memory
+// NewTimer, Queue.PopFn, Cond.WaitFn, Resource.AcquireFn, the NIC
+// engine's sleep and acquire, mesh.Network.Attach), and a func-typed
+// struct field carrying the directive marks every value assigned to it
+// as running in continuation context (nic.NIC.RaiseInterrupt/OnDeliver,
+// the NIC engine re-arm hooks, mesh.Packet's delivery thunk, the memory
 // snoop). Directives travel across packages as facts, so vmmc wiring
 // its onDeliver method into nic's hook is checked in vmmc without
 // nic's source in scope.
@@ -358,7 +359,7 @@ func (c *checker) checkRootValue(e ast.Expr, label string, enclosing *types.Func
 		}
 		msg := "continuation " + label + " can reach a blocking call: " +
 			name + " → " + strings.Join(path, " → ") +
-			"; fn-event continuations must not block (use PopFn/AcquireFn/WaitFn or Seq.Sleep)"
+			"; fn-event continuations must not block (use PopFn/AcquireFn/WaitFn or Engine.After)"
 		key := c.pass.Fset.Position(e.Pos()).String() + msg
 		if !c.reported[key] {
 			c.reported[key] = true

@@ -100,7 +100,7 @@ func (r *ring) justified() {
 	r.buf = make([]int, 0, 64)
 }
 
-// Continuation-engine constructs (sim.Seq / Queue.PopFn /
+// Continuation-engine constructs (Queue.PopFn /
 // Resource.AcquireFn): arming a wait inside a hotpath function must
 // hand over a continuation that was materialized at construction time
 // — a closure literal built at the arming site allocates on every

@@ -15,9 +15,8 @@
 // this file only with a scheme that preserves both invariants.
 //
 // Spawn confinement is the per-packet corollary: device engines are
-// continuation state machines (sim.Seq, Queue.PopFn,
-// Resource.AcquireFn) that dispatch as inline fn events with no process
-// switch. Processes — whose every wakeup by another process costs a
+// chains of fn-event stages (Queue.PopFn, Resource.AcquireFn,
+// Engine.After) that dispatch inline with no process switch. Processes — whose every wakeup by another process costs a
 // coroutine yield to the event loop and a resume — are reserved for
 // application code, where the blocking style carries real expressive
 // weight and wakeups are rare. A Spawn call in a device-side package
@@ -91,7 +90,7 @@ func run(pass *analysis.Pass) error {
 				if isEngineSpawn(pass, n) {
 					pass.Reportf(n.Pos(),
 						"sim.Engine.%s outside the process allowlist; device-side code runs as "+
-							"continuation state machines (sim.Seq, Queue.PopFn, Resource.AcquireFn) "+
+							"fn-event stages (Queue.PopFn, Resource.AcquireFn, Engine.After) "+
 							"so the per-packet hot path has no process switches — processes are "+
 							"reserved for internal/machine app code", n.Sel.Name)
 				}

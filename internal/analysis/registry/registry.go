@@ -13,7 +13,6 @@ import (
 	"shrimp/internal/analysis/maporder"
 	"shrimp/internal/analysis/nogoroutine"
 	"shrimp/internal/analysis/ptrdet"
-	"shrimp/internal/analysis/seqmachine"
 	"shrimp/internal/analysis/snapshotcover"
 	"shrimp/internal/analysis/tracenil"
 	"shrimp/internal/analysis/unseededrand"
@@ -35,7 +34,6 @@ func All() []*analysis.Analyzer {
 		tracenil.Analyzer,
 		fncontext.Analyzer,
 		snapshotcover.Analyzer,
-		seqmachine.Analyzer,
 		ptrdet.Analyzer,
 	}
 }

@@ -18,7 +18,7 @@ import (
 // strict as the CI vet step: a change that violates a determinism or
 // hot-path rule fails the ordinary test run, not just `make lint`.
 // It doubles as the suite's runtime budget check: the interprocedural
-// analyzers (fncontext, snapshotcover, seqmachine) must stay cheap
+// analyzers (fncontext, snapshotcover, ptrdet) must stay cheap
 // enough that the whole module analyzes inside suiteBudget, or the
 // edit-vet loop stops being interactive.
 const suiteBudget = 60 * time.Second
@@ -109,7 +109,7 @@ func TestSpawnConfinement(t *testing.T) {
 		got = append(got, path)
 		if !allowed[path] {
 			t.Errorf("%s: %d sim.Engine.Spawn/SpawnAt call site(s); device-side code must use "+
-				"continuation state machines (sim.Seq, Queue.PopFn, Resource.AcquireFn)",
+				"fn-event stages (Queue.PopFn, Resource.AcquireFn, Engine.After)",
 				path, sites[path])
 		}
 	}

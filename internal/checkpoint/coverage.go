@@ -122,7 +122,7 @@ func Covered() []TypeCoverage {
 			"duDst": Asserted, "duStart": Asserted, "outPkt": Asserted, "outDst": Asserted,
 			"e": Wiring, "id": Wiring, "net": Wiring, "mem": Wiring, "bus": Wiring,
 			"acct": Wiring, "pktFree": Wiring, "duFree": Wiring, "flushFn": Wiring,
-			"rxSeq": Wiring, "duSeq": Wiring, "outSeq": Wiring,
+			"rx": Wiring, "du": Wiring, "out": Wiring,
 			"rxRecvFn": Wiring, "duRecvFn": Wiring, "outRecvFn": Wiring, "tr": Wiring,
 			"RaiseInterrupt": Wiring, "OnDeliver": Wiring,
 		}},

@@ -167,6 +167,27 @@ func CheckNodes(n int) error {
 	return nil
 }
 
+// check is the knob-domain rule. A value outside it cannot describe a
+// machine: a DU request queue with no slots deadlocks every sender, and
+// a negative low-water mark never re-enables stalled AU stores.
+func (k Knobs) check() error {
+	for _, d := range []struct {
+		name string
+		v    *int
+		min  int
+	}{
+		{"du_queue_depth", k.DUQueueDepth, 1},
+		{"out_fifo_bytes", k.OutFIFOBytes, 1},
+		{"fifo_threshold_bytes", k.FIFOThresholdBytes, 0},
+		{"fifo_low_water_bytes", k.FIFOLowWaterBytes, 0},
+	} {
+		if d.v != nil && *d.v < d.min {
+			return fmt.Errorf("knob %s must be >= %d, got %d", d.name, d.min, *d.v)
+		}
+	}
+	return nil
+}
+
 // Compile resolves a CellSpec into a runnable Spec. Defaults are
 // filled exactly as the CLI tools fill them: empty Variant selects
 // DefaultVariant, empty Protocol applies no override, and unset knobs
@@ -177,6 +198,9 @@ func (c CellSpec) Compile() (Spec, error) {
 		return Spec{}, err
 	}
 	if err := CheckNodes(c.Nodes); err != nil {
+		return Spec{}, fmt.Errorf("harness: cell %s: %w", c.App, err)
+	}
+	if err := c.Knobs.check(); err != nil {
 		return Spec{}, fmt.Errorf("harness: cell %s: %w", c.App, err)
 	}
 	spec := Spec{App: app, Nodes: c.Nodes, Variant: DefaultVariant(app)}

@@ -30,14 +30,16 @@ func TestRunParallelPanicIsRecoverable(t *testing.T) {
 		t.Fatalf("recovered %v from RunParallel, want the body's panic", r)
 	}
 	m.Close()
-	if got := runtime.NumGoroutine(); got != base {
+	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("goroutines: %d after Close, %d before New", got, base)
 	}
 }
 
 // Close must stop every coroutine the machine's engine started: pooled
 // ones whose bodies returned and parked ones that never will. Repeating
-// the machine lifecycle must leave the goroutine count where it began.
+// the machine lifecycle must not raise the goroutine count. It may fall:
+// the previous test's runner goroutine can still be exiting when base
+// is read, so a count below base is no leak.
 func TestCloseStopsCoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
@@ -56,7 +58,7 @@ func TestCloseStopsCoroutines(t *testing.T) {
 		}
 		m.Close()
 	}
-	if got := runtime.NumGoroutine(); got != base {
+	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("goroutines: %d after 50 machines, %d before", got, base)
 	}
 }

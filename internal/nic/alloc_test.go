@@ -10,13 +10,13 @@ import (
 )
 
 // TestStartAllocationBound pins the one-time construction cost of the
-// NIC's continuation engines. Start binds, per engine, one dispatch
-// method, one resume continuation and one queue-delivery callback,
-// and parking each engine on its queue grows that queue's waiter list
-// once — twelve allocations for the three engines, independent of how
-// many steps each pipeline has. Binding a method value per step
-// instead cost ~70 extra allocations per machine build (BENCH_6.json);
-// this bound keeps that regression from creeping back.
+// NIC's engines. Start binds, per engine, one resume continuation and
+// one queue-delivery callback, and parking each engine on its queue
+// grows that queue's waiter list once — nine allocations for the three
+// engines, independent of how many stages each pipeline has. Binding a
+// method value per stage instead cost ~70 extra allocations per machine
+// build (BENCH_6.json); this bound keeps that regression from creeping
+// back.
 func TestStartAllocationBound(t *testing.T) {
 	const runs = 32
 	e := sim.NewEngine()
@@ -34,9 +34,9 @@ func TestStartAllocationBound(t *testing.T) {
 		nics[next].Start()
 		next++
 	})
-	if avg > 12 {
-		t.Fatalf("NIC.Start allocates %.1f objects, want <= 12 "+
-			"(three engines x (dispatch method + resume + delivery callback + queue park))", avg)
+	if avg > 9 {
+		t.Fatalf("NIC.Start allocates %.1f objects, want <= 9 "+
+			"(three engines x (resume + delivery callback + queue park))", avg)
 	}
 }
 
@@ -64,22 +64,47 @@ func TestAUEmitAllocationFree(t *testing.T) {
 
 // TestDUEmitAllocationFree asserts the deliberate-update path — request
 // queue, DMA engine, packet injection, receive-side store, recycle —
-// performs zero steady-state heap allocations.
+// performs zero steady-state heap allocations on each branch of the
+// receive engine.
 func TestDUEmitAllocationFree(t *testing.T) {
-	r := newRig(t, DefaultConfig())
-	src := r.mem0.Alloc(1)
-	proxy := r.mem0.Alloc(1)
-	dst := r.mem1.Alloc(1)
-	r.n1.SetIncoming(dst.VPN(), false)
-	r.n0.MapOutgoing(proxy.VPN(), 1, dst.VPN(), false, false, false)
+	for _, tc := range []struct {
+		name string
+		// perMessage turns on the §4.4 per-message interrupt, so the
+		// receive engine stalls in rxLand before rxDeliver.
+		perMessage bool
+		// export maps the destination page in the receiver's IPT;
+		// without it the packet is dropped in rxClassify.
+		export bool
+	}{
+		{"delivered", false, true},
+		{"interrupt-per-message", true, true},
+		{"dropped", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.InterruptPerMessage = tc.perMessage
+			r := newRig(t, cfg)
+			src := r.mem0.Alloc(1)
+			proxy := r.mem0.Alloc(1)
+			dst := r.mem1.Alloc(1)
+			if tc.export {
+				r.n1.SetIncoming(dst.VPN(), false)
+			}
+			r.n0.MapOutgoing(proxy.VPN(), 1, dst.VPN(), false, false, false)
 
-	avg := testing.AllocsPerRun(100, func() {
-		// The request queue is empty each iteration (the engine drains
-		// fully), so SendDU never blocks and a nil proc is safe.
-		r.n0.SendDU(nil, src, proxy, 256, false, true)
-		r.e.Run()
-	})
-	if avg != 0 {
-		t.Fatalf("DU emit path allocates %.1f objects per transfer, want 0", avg)
+			avg := testing.AllocsPerRun(100, func() {
+				// The request queue is empty each iteration (the engine
+				// drains fully), so SendDU never blocks and a nil proc
+				// is safe.
+				r.n0.SendDU(nil, src, proxy, 256, false, true)
+				r.e.Run()
+			})
+			if avg != 0 {
+				t.Fatalf("DU emit path allocates %.1f objects per transfer, want 0", avg)
+			}
+			if got, want := r.n1.Dropped() > 0, !tc.export; got != want {
+				t.Fatalf("receiver dropped %d packets, want drops=%v", r.n1.Dropped(), want)
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package nic
 import (
 	"shrimp/internal/memory"
 	"shrimp/internal/mesh"
-	"shrimp/internal/sim"
 	"shrimp/internal/trace"
 )
 
@@ -12,77 +11,38 @@ import (
 // memory over the memory bus, and raises interrupts per the
 // notification rules of §2.2/§4.4.
 //
-// It is a continuation state machine (sim.Seq), not a process: each
-// packet walks the steps below as inline fn events, with the engine
-// parked on rxQueue between packets. The step order and every
-// scheduling call reproduce the former blocking service loop exactly,
-// so simulation output is unchanged; only the goroutine handoffs are
-// gone.
+// It is a chain of engine stages, not a process: each packet walks the
+// stages below as inline fn events, with the engine parked on rxQueue
+// between packets.
 //
 // The mesh-level carrier is released back to the network pool as soon
 // as the NIC payload is unwrapped; the NIC packet itself is released to
 // its owning NIC's freelist once every delivery hook has run. Hooks
 // that need the packet beyond that instant must Clone it.
-const (
-	rxPort     = iota // acquire the NIC port
-	rxSetup           // receive-setup latency
-	rxClassify        // IPT check: drop, start host DMA, or skip it
-	rxDMA             // memory-bus transfer time (bus held)
-	rxLand            // payload lands; release bus and port; §4.4 stalls
-	rxDeliver         // notification rule, delivery hooks, recycle
-	rxNext            // pump rxQueue: next packet inline, or park
-)
-
-// rxStep dispatches the receive engine's steps by index — the single
-// bound method its sequencer needs (sim.Seq.Init).
-//
-//shrimp:hotpath
-func (n *NIC) rxStep(pc int) sim.Ctl {
-	switch pc {
-	case rxPort:
-		return n.rxStepPort()
-	case rxSetup:
-		return n.rxStepSetup()
-	case rxClassify:
-		return n.rxStepClassify()
-	case rxDMA:
-		return n.rxStepDMA()
-	case rxLand:
-		return n.rxStepLand()
-	case rxDeliver:
-		return n.rxStepDeliver()
-	default:
-		return n.rxStepNext()
-	}
-}
 
 // rxBegin is the rxQueue delivery callback: it unwraps the mesh carrier
-// and starts the receive pipeline for one NIC packet.
+// and takes the NIC port for one NIC packet. The port is busy while a
+// packet is being received, which blocks outgoing-FIFO draining
+// (incoming has priority in the hardware; here they serialize through
+// the same port).
 //
 //shrimp:hotpath
 func (n *NIC) rxBegin(mp *mesh.Packet) {
 	n.rxCur = mp.Payload.(*Packet)
 	n.net.Release(mp)
-	n.rxSeq.Start(rxPort)
+	n.rx.acquire(n.nicPort, (*NIC).rxSetup)
 }
 
-// rxStepPort: the NIC port is busy while a packet is being received,
-// which blocks outgoing-FIFO draining (incoming has priority in the
-// hardware; here they serialize through the same port).
-//
 //shrimp:hotpath
-func (n *NIC) rxStepPort() sim.Ctl { return n.rxSeq.Acquire(n.nicPort) }
+func (n *NIC) rxSetup() { n.rx.sleep(n.cfg.RxSetup, (*NIC).rxClassify) }
 
-//shrimp:hotpath
-func (n *NIC) rxStepSetup() sim.Ctl { return n.rxSeq.Sleep(n.cfg.RxSetup) }
-
-// rxStepClassify validates the packet against the IPT and routes it:
+// rxClassify validates the packet against the IPT and routes it:
 // invalid pages are dropped in hardware, payloads arbitrate for the
 // memory bus (which cannot cycle-share, so this contends with the CPU
 // and the DU engine), and empty packets skip the bus entirely.
 //
 //shrimp:hotpath
-func (n *NIC) rxStepClassify() sim.Ctl {
+func (n *NIC) rxClassify() {
 	pkt := n.rxCur
 	if _, ok := n.incoming(pkt.DstPage); !ok {
 		// Page not exported: hardware drops the packet and counts the
@@ -91,25 +51,29 @@ func (n *NIC) rxStepClassify() sim.Ctl {
 		n.nicPort.Release()
 		releasePacket(pkt)
 		n.rxCur = nil
-		return n.rxSeq.Goto(rxNext)
+		n.rxNext()
+		return
 	}
 	if len(pkt.Data) > 0 {
-		return n.rxSeq.Acquire(n.bus) // continue at rxDMA holding the bus
+		n.rx.acquire(n.bus, (*NIC).rxDMA)
+		return
 	}
-	return n.rxSeq.Goto(rxLand)
+	n.rxLand()
 }
 
+// rxDMA holds the memory bus for the payload's transfer time.
+//
 //shrimp:hotpath
-func (n *NIC) rxStepDMA() sim.Ctl { return n.rxSeq.Sleep(n.eisaTime(len(n.rxCur.Data))) }
+func (n *NIC) rxDMA() { n.rx.sleep(n.eisaTime(len(n.rxCur.Data)), (*NIC).rxLand) }
 
-// rxStepLand writes the payload to host memory, frees the buses, and
+// rxLand writes the payload to host memory, frees the buses, and
 // applies the §4.4 what-if interrupt stalls: a null kernel handler runs
 // before the application can observe the data, delaying delivery and
 // occupying the CPU — per message boundary, or per packet in the even
 // costlier traditional design.
 //
 //shrimp:hotpath
-func (n *NIC) rxStepLand() sim.Ctl {
+func (n *NIC) rxLand() {
 	pkt := n.rxCur
 	if len(pkt.Data) > 0 {
 		addr := memory.Addr(pkt.DstPage*memory.PageSize + pkt.DstOffset)
@@ -142,19 +106,20 @@ func (n *NIC) rxStepLand() sim.Ctl {
 		if n.RaiseInterrupt != nil {
 			n.RaiseInterrupt(IntPerMessage, pkt)
 		}
-		return n.rxSeq.Sleep(n.cfg.InterruptStall)
+		n.rx.sleep(n.cfg.InterruptStall, (*NIC).rxDeliver)
+		return
 	}
-	return n.rxSeq.Next()
+	n.rxDeliver()
 }
 
-// rxStepDeliver applies the notification rule — sender's
+// rxDeliver applies the notification rule — sender's
 // interrupt-request bit AND the receiver's per-page interrupt-enable
 // bit — runs the delivery hooks, and recycles the packet. The IPT entry
 // is looked up afresh here because the table may have been grown or its
 // interrupt-enable bit toggled while the DMA waited above.
 //
 //shrimp:hotpath
-func (n *NIC) rxStepDeliver() sim.Ctl {
+func (n *NIC) rxDeliver() {
 	pkt := n.rxCur
 	if pkt.Interrupt && n.RaiseInterrupt != nil {
 		if ipt, ok := n.incoming(pkt.DstPage); ok && ipt.InterruptEnable {
@@ -166,21 +131,19 @@ func (n *NIC) rxStepDeliver() sim.Ctl {
 	}
 	releasePacket(pkt)
 	n.rxCur = nil
-	return n.rxSeq.Next()
+	n.rxNext()
 }
 
-// rxStepNext pumps the receive queue: a queued packet continues the
-// pipeline inline at the same instant (exactly as the blocking loop's
-// non-empty Pop did), an empty queue parks the engine on a one-shot
+// rxNext pumps the receive queue: a queued packet continues the
+// pipeline inline at the same instant (exactly as a blocking loop's
+// non-empty Pop would), an empty queue parks the engine on a one-shot
 // delivery callback.
 //
 //shrimp:hotpath
-func (n *NIC) rxStepNext() sim.Ctl {
+func (n *NIC) rxNext() {
 	if mp, ok := n.rxQueue.TryPop(); ok {
-		n.rxCur = mp.Payload.(*Packet)
-		n.net.Release(mp)
-		return n.rxSeq.Goto(rxPort)
+		n.rxBegin(mp)
+		return
 	}
 	n.rxQueue.PopFn(n.rxRecvFn)
-	return sim.Wait
 }

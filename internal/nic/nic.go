@@ -199,16 +199,13 @@ type NIC struct {
 	rxQueue *sim.Queue[*mesh.Packet] //shrimp:nostate asserted: Quiescent requires it drained
 	dropped int64
 
-	// Continuation engines. The three device engines are event-driven
-	// state machines (sim.Seq), not processes: their steps execute as
-	// inline fn events wherever the event loop is running, so a
-	// simulated packet costs zero process switches. Embedded by value
-	// and initialized by Start through one dispatch method each, so
-	// building a NIC costs two allocations per engine rather than one
-	// per step.
-	rxSeq  sim.Seq //shrimp:nostate wiring: Seq program; pc parked at quiescence, same as a cold run's
-	duSeq  sim.Seq //shrimp:nostate wiring: Seq program; pc parked at quiescence, same as a cold run's
-	outSeq sim.Seq //shrimp:nostate wiring: Seq program; pc parked at quiescence, same as a cold run's
+	// The three device pipelines: receive DMA, deliberate-update DMA
+	// and outgoing-FIFO drain. Their stages run as inline fn events
+	// wherever the event loop is running, so a simulated packet costs
+	// zero process switches.
+	rx  engine //shrimp:nostate wiring: NIC binding and resume continuation; idle at quiescence
+	du  engine //shrimp:nostate wiring: NIC binding and resume continuation; idle at quiescence
+	out engine //shrimp:nostate wiring: NIC binding and resume continuation; idle at quiescence
 
 	// In-flight engine state, the explicit continuation counterpart of
 	// what used to live in each service loop's stack frame.
@@ -285,18 +282,16 @@ func (n *NIC) FIFOHighWater() int { return n.fifoHigh }
 // Dropped reports packets dropped for invalid IPT entries.
 func (n *NIC) Dropped() int64 { return n.dropped }
 
-// Start builds the NIC's engines — the deliberate-update DMA engine,
-// the outgoing-FIFO drain, and the incoming DMA engine — as
-// continuation state machines and parks each on its input queue. No
-// processes are spawned: every engine step runs as an inline fn event,
-// scheduled at exactly the (t, seq) calendar positions the former
-// goroutine service loops occupied, so simulation output is unchanged
-// while the per-packet goroutine handoffs disappear. The engines serve
-// for the lifetime of the simulation.
+// Start binds the NIC's engines — the deliberate-update DMA engine,
+// the outgoing-FIFO drain, and the incoming DMA engine — and parks each
+// on its input queue. No processes are spawned: every engine stage
+// runs as an inline fn event, scheduled at exactly the (t, seq)
+// calendar positions a blocking service loop would occupy. The engines
+// serve for the lifetime of the simulation.
 func (n *NIC) Start() {
-	n.duSeq.Init(n.e, duNext+1, n.duStep)
-	n.outSeq.Init(n.e, outNext+1, n.outStep)
-	n.rxSeq.Init(n.e, rxNext+1, n.rxStep)
+	n.du.init(n)
+	n.out.init(n)
+	n.rx.init(n)
 	n.duRecvFn = n.duBegin
 	n.outRecvFn = n.outBegin
 	n.rxRecvFn = n.rxBegin

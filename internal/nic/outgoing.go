@@ -73,63 +73,26 @@ func (n *NIC) WaitDUIdle(p *sim.Proc) {
 // for the memory bus (which cannot cycle-share with the CPU), reads the
 // payload over the EISA bus, and injects a packet.
 //
-// Like the receive engine it is a continuation state machine: the steps
-// below execute as inline fn events with the engine parked on duQueue
-// between requests, scheduling each delay and bus wait at exactly the
-// calendar position the former blocking loop produced.
-const (
-	duSetup  = iota // traced start marker + DMA setup latency
-	duRead          // build the packet, arbitrate for the memory bus
-	duXfer          // EISA transfer time (bus held)
-	duInject        // payload read; free slot; arbitrate for NIC port
-	duLink          // link serialization time (port held)
-	duSend          // hand the packet to the mesh, release the port
-	duNext          // pump duQueue: next request inline, or park
-)
-
-// duStep dispatches the DU engine's steps by index — the single bound
-// method its sequencer needs (sim.Seq.Init).
-//
-//shrimp:hotpath
-func (n *NIC) duStep(pc int) sim.Ctl {
-	switch pc {
-	case duSetup:
-		return n.duStepSetup()
-	case duRead:
-		return n.duStepRead()
-	case duXfer:
-		return n.duStepXfer()
-	case duInject:
-		return n.duStepInject()
-	case duLink:
-		return n.duStepLink()
-	case duSend:
-		return n.duStepSend()
-	default:
-		return n.duStepNext()
-	}
-}
+// Like the receive engine it is a chain of engine stages, parked on
+// duQueue between requests.
 
 // duBegin is the duQueue delivery callback: it accepts one transfer
-// request and starts the DMA pipeline.
+// request and waits out the DMA setup latency.
 //
 //shrimp:hotpath
 func (n *NIC) duBegin(req *duRequest) {
 	n.duReq = req
-	n.duSeq.Start(duSetup)
-}
-
-//shrimp:hotpath
-func (n *NIC) duStepSetup() sim.Ctl {
 	if n.tr != nil {
 		n.duStart = n.e.Now()
-		n.tr.Record(int64(n.duStart), trace.KDUStart, int32(n.id), int64(n.duReq.size), int64(n.duReq.dstNode))
+		n.tr.Record(int64(n.duStart), trace.KDUStart, int32(n.id), int64(req.size), int64(req.dstNode))
 	}
-	return n.duSeq.Sleep(n.cfg.DMASetup)
+	n.du.sleep(n.cfg.DMASetup, (*NIC).duRead)
 }
 
+// duRead builds the packet and arbitrates for the memory bus.
+//
 //shrimp:hotpath
-func (n *NIC) duStepRead() sim.Ctl {
+func (n *NIC) duRead() {
 	req := n.duReq
 	pkt := n.allocPacket()
 	pkt.Kind = DU
@@ -140,17 +103,19 @@ func (n *NIC) duStepRead() sim.Ctl {
 	pkt.EndOfMsg = req.endOfMsg
 	pkt.Data = grow(pkt.Data, req.size)
 	n.duPkt = pkt
-	return n.duSeq.Acquire(n.bus) // continue at duXfer holding the bus
+	n.du.acquire(n.bus, (*NIC).duXfer)
 }
 
-//shrimp:hotpath
-func (n *NIC) duStepXfer() sim.Ctl { return n.duSeq.Sleep(n.eisaTime(n.duReq.size)) }
-
-// duStepInject completes the host-memory read and starts injection. The
-// request slot frees once the data has left host memory.
+// duXfer holds the memory bus for the payload's transfer time.
 //
 //shrimp:hotpath
-func (n *NIC) duStepInject() sim.Ctl {
+func (n *NIC) duXfer() { n.du.sleep(n.eisaTime(n.duReq.size), (*NIC).duInject) }
+
+// duInject completes the host-memory read and arbitrates for the NIC
+// port. The request slot frees once the data has left host memory.
+//
+//shrimp:hotpath
+func (n *NIC) duInject() {
 	req := n.duReq
 	pkt := n.duPkt
 	n.mem.DMARead(req.src, pkt.Data)
@@ -164,16 +129,20 @@ func (n *NIC) duStepInject() sim.Ctl {
 		pkt.sent = n.duStart + 1
 		n.tr.Record(int64(n.e.Now()), trace.KDUQueue, int32(n.id), int64(n.duSlots), 0)
 	}
-	return n.duSeq.Acquire(n.nicPort)
+	n.du.acquire(n.nicPort, (*NIC).duLink)
 }
 
+// duLink holds the NIC port for the link serialization time.
+//
 //shrimp:hotpath
-func (n *NIC) duStepLink() sim.Ctl {
-	return n.duSeq.Sleep(n.linkTime(n.wireSize(len(n.duPkt.Data))))
+func (n *NIC) duLink() {
+	n.du.sleep(n.linkTime(n.wireSize(len(n.duPkt.Data))), (*NIC).duSend)
 }
 
+// duSend hands the packet to the mesh and releases the port.
+//
 //shrimp:hotpath
-func (n *NIC) duStepSend() sim.Ctl {
+func (n *NIC) duSend() {
 	pkt := n.duPkt
 	mp := n.net.Acquire()
 	mp.Src = n.id
@@ -186,17 +155,18 @@ func (n *NIC) duStepSend() sim.Ctl {
 		n.tr.Record(int64(n.e.Now()), trace.KDUEnd, int32(n.id), int64(pkt.DstPage), int64(n.duDst))
 	}
 	n.duPkt = nil
-	return n.duSeq.Next()
+	n.duNext()
 }
 
+// duNext pumps duQueue: the next request inline, or park.
+//
 //shrimp:hotpath
-func (n *NIC) duStepNext() sim.Ctl {
+func (n *NIC) duNext() {
 	if req, ok := n.duQueue.TryPop(); ok {
-		n.duReq = req
-		return n.duSeq.Goto(duSetup)
+		n.duBegin(req)
+		return
 	}
 	n.duQueue.PopFn(n.duRecvFn)
-	return sim.Wait
 }
 
 // grow resizes buf to n bytes, reusing its backing array when possible.
@@ -379,51 +349,30 @@ func (n *NIC) FenceAU(p *sim.Proc) {
 // The outgoing-FIFO drain engine injects queued AU packets into the
 // backplane. Draining contends with packet reception for the NIC port,
 // so the FIFO cannot drain while a packet is arriving — the effect
-// §4.5.2 identifies. It too is a continuation state machine parked on
-// the FIFO between packets.
-const (
-	outPort = iota // arbitrate for the NIC port
-	outLink        // link serialization time (port held)
-	outSend        // hand to the mesh; flow-control bookkeeping
-	outNext        // pump the FIFO: next packet inline, or park
-)
-
-// outStep dispatches the outgoing-FIFO drain's steps by index — the
-// single bound method its sequencer needs (sim.Seq.Init).
-//
-//shrimp:hotpath
-func (n *NIC) outStep(pc int) sim.Ctl {
-	switch pc {
-	case outPort:
-		return n.outStepPort()
-	case outLink:
-		return n.outStepLink()
-	case outSend:
-		return n.outStepSend()
-	default:
-		return n.outStepNext()
-	}
-}
+// §4.5.2 identifies. It too is a chain of engine stages, parked on the
+// FIFO between packets.
 
 // outBegin is the FIFO delivery callback: it accepts one queued packet
-// and starts the injection pipeline.
+// and arbitrates for the NIC port.
 //
 //shrimp:hotpath
 func (n *NIC) outBegin(e fifoEntry) {
 	n.outPkt, n.outDst = e.pkt, e.dst
-	n.outSeq.Start(outPort)
+	n.out.acquire(n.nicPort, (*NIC).outLink)
 }
 
+// outLink holds the NIC port for the link serialization time.
+//
 //shrimp:hotpath
-func (n *NIC) outStepPort() sim.Ctl { return n.outSeq.Acquire(n.nicPort) }
-
-//shrimp:hotpath
-func (n *NIC) outStepLink() sim.Ctl {
-	return n.outSeq.Sleep(n.linkTime(n.wireSize(len(n.outPkt.Data))))
+func (n *NIC) outLink() {
+	n.out.sleep(n.linkTime(n.wireSize(len(n.outPkt.Data))), (*NIC).outSend)
 }
 
+// outSend hands the packet to the mesh and applies the flow-control
+// bookkeeping.
+//
 //shrimp:hotpath
-func (n *NIC) outStepSend() sim.Ctl {
+func (n *NIC) outSend() {
 	pkt := n.outPkt
 	wire := n.wireSize(len(pkt.Data))
 	mp := n.net.Acquire()
@@ -446,15 +395,16 @@ func (n *NIC) outStepSend() sim.Ctl {
 		n.fenceCond.Broadcast()
 	}
 	n.outPkt = nil
-	return n.outSeq.Next()
+	n.outNext()
 }
 
+// outNext pumps the FIFO: the next packet inline, or park.
+//
 //shrimp:hotpath
-func (n *NIC) outStepNext() sim.Ctl {
+func (n *NIC) outNext() {
 	if e, ok := n.fifo.TryPop(); ok {
-		n.outPkt, n.outDst = e.pkt, e.dst
-		return n.outSeq.Goto(outPort)
+		n.outBegin(e)
+		return
 	}
 	n.fifo.PopFn(n.outRecvFn)
-	return sim.Wait
 }

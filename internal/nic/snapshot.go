@@ -7,10 +7,10 @@ import "fmt"
 // dynamic state reduces to the mapping tables (outgoing and incoming,
 // both mutated by the app during the body), the table generation
 // counter, the knob block, and two counters. Everything else — the
-// three Seqs, the continuation closures, the freelists, the tracer —
-// is wiring that serves every branch unchanged; the Seq program
-// counters are at their parked positions at quiescence, which is the
-// same position a cold run's Seqs occupy between phases.
+// three engines, the continuation closures, the freelists, the tracer —
+// is wiring that serves every branch unchanged: at quiescence each
+// engine is parked on its input queue with no wait pending, exactly as
+// a cold run's engines sit between phases.
 
 // NICSnapshot captures one NIC's dynamic state.
 //

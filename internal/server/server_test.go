@@ -321,6 +321,12 @@ func TestCancelMidJob(t *testing.T) {
 // TestSubmitValidation checks malformed requests are refused up front.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	// knobCell is a well-formed cell carrying one out-of-domain knob,
+	// which would otherwise deadlock or stall the simulated machine.
+	knobCell := func(k harness.Knobs) JobRequest {
+		return JobRequest{Cells: []harness.CellSpec{{App: "radix-vmmc", Nodes: 4, Knobs: k}}}
+	}
+	intp := func(v int) *int { return &v }
 	for _, tc := range []struct {
 		name string
 		req  JobRequest
@@ -330,6 +336,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown experiment", JobRequest{Experiment: "nonesuch"}},
 		{"bad app", JobRequest{Cells: []harness.CellSpec{{App: "nonesuch", Nodes: 4}}}},
 		{"bad nodes", JobRequest{Cells: []harness.CellSpec{{App: "radix-vmmc", Nodes: -1}}}},
+		{"du_queue_depth 0", knobCell(harness.Knobs{DUQueueDepth: intp(0)})},
+		{"du_queue_depth -1", knobCell(harness.Knobs{DUQueueDepth: intp(-1)})},
+		{"out_fifo_bytes 0", knobCell(harness.Knobs{OutFIFOBytes: intp(0)})},
+		{"fifo_threshold_bytes -1", knobCell(harness.Knobs{FIFOThresholdBytes: intp(-1)})},
+		{"fifo_low_water_bytes -1", knobCell(harness.Knobs{FIFOLowWaterBytes: intp(-1)})},
 	} {
 		if _, code := trySubmit(t, ts, tc.req); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)

@@ -82,40 +82,3 @@ func BenchmarkFnEventDispatch(b *testing.B) {
 	b.StopTimer()
 	e.Shutdown()
 }
-
-// BenchmarkSeqRoundTrip measures a full device-style service round —
-// pop a request, acquire a resource, sleep, release, re-arm — through
-// the step sequencer, the composite path the NIC engines execute per
-// packet.
-func BenchmarkSeqRoundTrip(b *testing.B) {
-	e := NewEngine()
-	q := NewQueue[int](e)
-	r := NewResource(e)
-	var s *Seq
-	var recv func(int)
-	s = NewSeq(e,
-		func() Ctl { return s.Acquire(r) },
-		func() Ctl { return s.Sleep(1) },
-		func() Ctl {
-			r.Release()
-			return s.Next()
-		},
-		func() Ctl {
-			if _, ok := q.TryPop(); ok {
-				return s.Goto(0)
-			}
-			q.PopFn(recv)
-			return Wait
-		},
-	)
-	recv = func(int) { s.Start(0) }
-	q.PopFn(recv)
-	for i := 0; i < b.N; i++ {
-		q.Push(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-	b.StopTimer()
-	e.Shutdown()
-}

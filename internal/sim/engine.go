@@ -62,9 +62,10 @@ func less(a, b *event) bool {
 //
 //   - High-frequency actors avoid processes entirely. The blocking
 //     primitives have continuation counterparts — Cond.WaitFn,
-//     Resource.AcquireFn, Queue.PopFn, and the Seq step sequencer — that
-//     schedule plain fn events at exactly the (t, seq) calendar positions
-//     where the corresponding process wakeups would sit. Device engines
+//     Resource.AcquireFn, Queue.PopFn, and After in place of
+//     Proc.Sleep — that schedule plain fn events at exactly the (t, seq)
+//     calendar positions where the corresponding process wakeups would
+//     sit. Device engines
 //     (internal/nic) run this way: their per-packet work dispatches
 //     inline with zero coroutine switches, while app code
 //     (internal/machine) keeps the expressive blocking style for its

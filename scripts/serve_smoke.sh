@@ -3,11 +3,14 @@
 # checks the daemon against the batch CLI:
 #
 #   1. /healthz answers once the daemon is up.
-#   2. A quick table1 experiment job streams NDJSON byte-identical to
+#   2. A cell with an out-of-domain knob (du_queue_depth 0, which would
+#      deadlock the simulated machine) is refused with HTTP 400, and
+#      the daemon still answers /healthz afterwards.
+#   3. A quick table1 experiment job streams NDJSON byte-identical to
 #      `shrimpbench -json -exp table1 -quick`.
-#   3. Resubmitting the same job is served from the result cache
+#   4. Resubmitting the same job is served from the result cache
 #      (cache-hit counter visible in /metrics).
-#   4. SIGTERM drains the daemon cleanly (exit 0).
+#   5. SIGTERM drains the daemon cleanly (exit 0).
 #
 # Used by `make serve-smoke` and the CI "Serve smoke" step.
 set -euo pipefail
@@ -32,6 +35,19 @@ for _ in $(seq 1 50); do
 done
 curl -fsS "$BASE/healthz" | grep -q ok
 echo "serve-smoke: daemon is healthy"
+
+CODE=$(curl -sS -o "$WORK/bad.txt" -w '%{http_code}' -X POST \
+    -H 'Content-Type: application/json' \
+    -d '{"cells":[{"app":"radix-vmmc","nodes":4,"knobs":{"du_queue_depth":0}}]}' \
+    "$BASE/v1/jobs")
+if [ "$CODE" != 400 ]; then
+    echo "serve-smoke: du_queue_depth 0 cell got HTTP $CODE, want 400" >&2
+    cat "$WORK/bad.txt" >&2
+    exit 1
+fi
+grep -q du_queue_depth "$WORK/bad.txt"
+curl -fsS "$BASE/healthz" | grep -q ok
+echo "serve-smoke: out-of-domain knob refused with 400; daemon still healthy"
 
 submit_table1() {
     curl -fsS -X POST -H 'Content-Type: application/json' \
