@@ -12,12 +12,18 @@ all: lint test
 # layout), stock vet, then the shrimpvet suite standalone (writing the
 # SARIF report CI uploads per PR) and again through cmd/go's vettool
 # protocol, which exercises the fact-passing .vetx path and caches per
-# package.
+# package. shrimpvet must link no package outside internal/analysis:
+# cmd/go keys cached vet results on the vettool binary's hash, so a
+# simulator package linked into it would make every simulator edit
+# throw the whole vet cache away.
 lint:
 	@unformatted=$$(find . \( -name testdata -o -name .bench_build -o -name bin \) -prune \
 		-o -name '*.go' -print | xargs gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
+	@linked=$$(go list -deps ./cmd/shrimpvet | grep '^shrimp/' | \
+		grep -v -e '^shrimp/internal/analysis$$' -e '^shrimp/internal/analysis/' -e '^shrimp/cmd/shrimpvet$$'); \
+	if [ -n "$$linked" ]; then echo "cmd/shrimpvet links packages outside internal/analysis:"; echo "$$linked"; exit 1; fi
 	go build -o $(GOBIN)/shrimpvet ./cmd/shrimpvet
 	$(GOBIN)/shrimpvet -sarif $(GOBIN)/shrimpvet.sarif ./...
 	go vet -vettool=$(GOBIN)/shrimpvet ./...

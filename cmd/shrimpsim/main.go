@@ -59,7 +59,9 @@ func main() {
 	syscall := flag.Bool("syscall", false, "charge a system call per message send (Table 2)")
 	intmsg := flag.Bool("intmsg", false, "interrupt on every arriving message (Table 4)")
 	nocombine := flag.Bool("nocombine", false, "disable automatic-update combining")
-	fifo := flag.Int("fifo", 0, "outgoing FIFO bytes (0 = default 32 KB)")
+	fifo := flag.Int("fifo", 0, "outgoing FIFO size in bytes: sets the flow-control threshold (3/4) "+
+		"and low-water mark (1/4), the only parts the simulator models; the capacity itself is "+
+		"not enforced (0 = default 32 KB)")
 	duq := flag.Int("duqueue", 0, "deliberate-update queue depth (0 = default 1)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"apps to simulate concurrently when several are named")
@@ -107,16 +109,6 @@ func main() {
 		traceOpts = &trace.Options{Filter: mask, MaxEvents: *traceMax}
 	}
 
-	var apps []harness.App
-	for _, name := range strings.Split(*appNames, ",") {
-		app, err := harness.ParseApp(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
-			os.Exit(2)
-		}
-		apps = append(apps, app)
-	}
-
 	// Flags become Knobs rather than a build-time Mutate so the harness
 	// can defer them to the post-warmup phase boundary, which is what
 	// makes -share-prefix runs byte-identical to cold ones.
@@ -130,32 +122,25 @@ func main() {
 	if *nocombine {
 		knobs.Combining = ptr(false)
 	}
-	if *fifo > 0 {
+	// A non-zero -fifo or -duqueue sets its knob, so Compile rejects an
+	// out-of-domain value instead of the flag silently meaning default.
+	if *fifo != 0 {
 		knobs.OutFIFOBytes = ptr(*fifo)
 		knobs.FIFOThresholdBytes = ptr(*fifo * 3 / 4)
 		knobs.FIFOLowWaterBytes = ptr(*fifo / 4)
 	}
-	if *duq > 0 {
+	if *duq != 0 {
 		knobs.DUQueueDepth = ptr(*duq)
 	}
 
 	var cells []harness.Spec
-	for _, app := range apps {
-		spec := harness.Spec{App: app, Nodes: *nodes, Variant: harness.DefaultVariant(app)}
-		if v, ok, err := harness.ParseVariant(*variant); err != nil {
+	for _, name := range strings.Split(*appNames, ",") {
+		cell := harness.CellSpec{App: name, Nodes: *nodes, Variant: *variant, Protocol: *protocol, Knobs: knobs}
+		spec, err := cell.Compile()
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
 			os.Exit(2)
-		} else if ok {
-			spec.Variant = v
 		}
-		if p, ok, err := harness.ParseProtocol(*protocol); err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpsim: %v\n", err)
-			os.Exit(2)
-		} else if ok {
-			p := p
-			spec.Protocol = &p
-		}
-		spec.Knobs = knobs
 		spec.Trace = traceOpts
 		cells = append(cells, spec)
 	}
@@ -181,11 +166,11 @@ func main() {
 	}
 	results := run(context.Background(), cells, *parallel, &wl)
 
-	for i, app := range apps {
+	for i, spec := range cells {
 		if i > 0 {
 			fmt.Println()
 		}
-		report(app, *nodes, &wl, results[i])
+		report(spec.App, *nodes, &wl, results[i])
 		if *metrics && results[i].Trace != nil {
 			fmt.Println()
 			trace.WriteSummary(os.Stdout, results[i].Trace, cells[i].Label())

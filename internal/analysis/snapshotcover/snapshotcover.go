@@ -1,25 +1,31 @@
-// Package snapshotcover defines an Analyzer that statically mirrors
-// internal/checkpoint's reflection-based coverage inventory: in every
-// package that has a snapshot.go, each field of a snapshotted struct
-// must either be referenced by both sides of the Snapshot/Restore pair
-// or carry an explicit //shrimp:nostate annotation saying why rewind
-// may skip it.
+// Package snapshotcover defines an Analyzer that keeps checkpointing
+// complete: in every package that has a snapshot.go, each field of a
+// snapshotted struct must either be referenced by both sides of the
+// Snapshot/Restore pair or carry an explicit //shrimp:nostate
+// annotation saying why rewind may skip it. The annotations are the
+// only record of how a field that is not copied is handled; there is
+// no separate table to keep in step with them.
 //
-// The runtime inventory (checkpoint.Covered) catches a forgotten field
-// only when its completeness test runs; this analyzer catches it at
-// vet time, and — unlike reflection — it also catches the dual bug
-// where the field still exists in the table but its capture or restore
-// line was deleted from snapshot.go.
+// Because the rule looks at references rather than at a list of
+// names, it catches both a new field nobody classified and the dual
+// bug where a field's capture or restore line was deleted from
+// snapshot.go.
 //
 // # What counts as a snapshotted struct
 //
-// Two triggers, both local to the package's snapshot.go:
+// Three triggers, all local to the package:
 //
 //   - the base receiver type of any capture- or restore-side function
-//     declared in snapshot.go, and
+//     declared in snapshot.go,
+//   - any struct with a field that both sides reference, and
 //   - any struct whose type declaration is marked //shrimp:state
-//     (snapshot payload structs and nested unexported state that no
-//     side function has as its receiver).
+//     (needed only for state none of whose fields both sides copy).
+//
+// A //shrimp:nostate annotation on a struct that none of these makes
+// snapshotted is a diagnostic: it documents state nothing checks. So
+// deleting a //shrimp:state mark cannot quietly take a struct out from
+// under the rule; either the pair still copies one of its fields, or
+// its annotations become diagnostics.
 //
 // Capture-side roots are functions named Take, BeginSnapshot, capture,
 // or with a Snapshot/snapshot prefix; restore-side roots have a
@@ -31,40 +37,53 @@
 //
 // # The field rule
 //
-// A field of a snapshotted struct is covered when it is referenced
-// (selected, or named as a composite-literal key) in at least one
-// capture-side and at least one restore-side function, or when it is
-// annotated:
+// A field of a snapshotted struct, embedded fields included, is
+// covered when it is referenced in at least one capture-side and at
+// least one restore-side function, or when it is annotated:
 //
 //	//shrimp:nostate <class>: <why>
 //
-// where <class> is one of internal/checkpoint's classification tokens
-// (captured, asserted, wiring) — the analyzer and the runtime
-// inventory share one vocabulary, and checkpoint's coverage test pins
-// the per-field agreement between the two. A malformed annotation
-// (unknown class, missing justification) is itself a diagnostic.
+// A reference is a selection (x.f, however deep the chain), a
+// composite-literal key (T{f: v}), or a promoted selection through an
+// embedded field (x.g where g belongs to the embedded type references
+// the embedded field too). <class> is one of:
+//
+//   - captured: copied by a Snapshot and written back by Restore
+//     through some path the reference rule cannot see.
+//   - asserted: must be empty or idle at quiescence, which Quiescent
+//     checks (or transient engine state that quiescence implies is
+//     dead).
+//   - wiring: identical across branches by construction — pointers,
+//     closures, freelists, immutable config — never touched by rewind.
+//
+// A malformed annotation (unknown class, missing justification) is
+// itself a diagnostic.
 package snapshotcover
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
 	"shrimp/internal/analysis"
-	"shrimp/internal/checkpoint"
 )
 
 const (
 	// StateDirective marks a struct type as snapshotted state even when
-	// no side function has it as a receiver.
+	// no side function has it as a receiver and no side copies a field.
 	StateDirective = "//shrimp:state"
 	// NoStateDirective excuses one field from the two-sided reference
-	// rule; it must name a checkpoint class and a justification.
+	// rule; it must name a class and a justification.
 	NoStateDirective = "//shrimp:nostate"
 )
+
+// classes is the annotation vocabulary, described in the package doc.
+var classes = []string{"captured", "asserted", "wiring"}
 
 // Analyzer rejects snapshotted-struct fields that the package's
 // snapshot.go neither captures and restores nor annotates away.
@@ -72,8 +91,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "snapshotcover",
 	Doc: "check that every field of a snapshotted struct is referenced by both sides " +
 		"of its package's snapshot.go Snapshot/Restore pair, or carries a " +
-		"//shrimp:nostate <class>: <why> annotation using internal/checkpoint's " +
-		"class vocabulary (captured, asserted, wiring)",
+		"//shrimp:nostate <class>: <why> annotation (class: captured, asserted, wiring)",
 	Run: run,
 }
 
@@ -83,18 +101,16 @@ const (
 	sideRestore
 )
 
-// fieldResult is the verdict on one field of one snapshotted struct.
+// fieldResult is a field of a snapshotted struct that is not covered
+// (it lacks a reference on one side), or an annotation that is
+// malformed or sits on a struct that is not snapshotted.
 type fieldResult struct {
-	typeName string
-	field    string
-	pos      token.Pos
-	// class is the effective classification: the annotated class when
-	// a valid annotation is present, "captured" when the field is
-	// referenced on both sides, "uncovered" otherwise.
-	class          string
+	typeName       string
+	field          string
+	pos            token.Pos
 	capRef, resRef bool
 	annPos         token.Pos
-	annErr         string // nonempty: malformed annotation
+	annErr         string // nonempty: a bad annotation, reported at annPos
 }
 
 func run(pass *analysis.Pass) error {
@@ -102,9 +118,6 @@ func run(pass *analysis.Pass) error {
 	for _, r := range c.analyze() {
 		if r.annErr != "" {
 			pass.Reportf(r.annPos, "%s", r.annErr)
-			continue
-		}
-		if r.class != "uncovered" {
 			continue
 		}
 		var state string
@@ -123,34 +136,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// FieldClass is one entry of Inventory: the static classification of a
-// snapshotted struct's field.
-type FieldClass struct {
-	Type  string // type name within the package
-	Field string
-	Class string // a checkpoint class token, or "uncovered"
-}
-
-// Inventory returns the static classification of every field of every
-// snapshotted struct in pkg: the annotated class when a valid
-// //shrimp:nostate annotation is present, "captured" for fields
-// referenced on both sides of the snapshot.go pair, "uncovered"
-// otherwise. internal/checkpoint's coverage test compares this against
-// its runtime tables so the two inventories cannot drift apart.
-func Inventory(pkg *analysis.Package) []FieldClass {
-	c := &checker{fset: pkg.Fset, files: pkg.Files, pkg: pkg.Types, info: pkg.Info}
-	var out []FieldClass
-	for _, r := range c.analyze() {
-		if r.annErr != "" {
-			continue
-		}
-		out = append(out, FieldClass{Type: r.typeName, Field: r.field, Class: r.class})
-	}
-	return out
-}
-
-// checker carries one package through the analysis; it is built from
-// either a Pass (run) or a Package (Inventory).
+// checker carries one package through the analysis.
 type checker struct {
 	fset  *token.FileSet
 	files []*ast.File
@@ -158,7 +144,8 @@ type checker struct {
 	info  *types.Info
 }
 
-// analyze computes the per-field verdicts for the package, in type
+// analyze returns the uncovered fields of the package's snapshotted
+// structs and the annotations on structs that are not snapshotted, in
 // declaration order. A package without a snapshot.go yields nothing.
 func (c *checker) analyze() []fieldResult {
 	snapDecls := c.snapshotFuncs()
@@ -169,7 +156,8 @@ func (c *checker) analyze() []fieldResult {
 	capRefs, resRefs := c.fieldRefs(snapDecls, sides)
 
 	// Collect the package's struct declarations and decide which are
-	// snapshotted: //shrimp:state marks plus side-function receivers.
+	// snapshotted: //shrimp:state marks, side-function receivers, and
+	// structs with a field both sides reference.
 	type structDecl struct {
 		ts     *ast.TypeSpec
 		st     *ast.StructType
@@ -219,9 +207,21 @@ func (c *checker) analyze() []fieldResult {
 			registered[tn] = true
 		}
 	}
+	// A struct is state, mark or no mark, once the pair copies one of
+	// its fields. So a struct whose mark is deleted stays under the rule
+	// unless every field is annotated, and then the orphaned
+	// annotations below are diagnostics.
+	for tn := range structs {
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); capRefs[f] && resRefs[f] {
+				registered[tn] = true
+			}
+		}
+	}
 
-	ordered := make([]*types.TypeName, 0, len(registered))
-	for tn := range registered {
+	ordered := make([]*types.TypeName, 0, len(structs))
+	for tn := range structs {
 		ordered = append(ordered, tn)
 	}
 	sort.Slice(ordered, func(i, j int) bool {
@@ -232,11 +232,22 @@ func (c *checker) analyze() []fieldResult {
 	for _, tn := range ordered {
 		sd := structs[tn]
 		for _, field := range sd.st.Fields.List {
-			if len(field.Names) == 0 {
-				continue // embedded field: covered through its own type's rule
+			names := field.Names
+			if len(names) == 0 {
+				// An embedded field is a field like any other: Defs maps
+				// the type name in its declaration to the field's Var.
+				names = []*ast.Ident{embeddedName(field.Type)}
 			}
-			ann, annPos, annClass, annErr := parseNoState(field.Doc, field.Comment)
-			for _, name := range field.Names {
+			ann, annPos, annErr := parseNoState(field.Doc, field.Comment)
+			if !registered[tn] {
+				if ann {
+					out = append(out, fieldResult{annPos: annPos, annErr: fmt.Sprintf(
+						"%s annotation on field %s.%s, but %s is not snapshotted state; mark it %s or delete the annotation",
+						NoStateDirective, tn.Name(), names[0].Name, tn.Name(), StateDirective)})
+				}
+				continue
+			}
+			for _, name := range names {
 				obj, ok := c.info.Defs[name].(*types.Var)
 				if !ok {
 					continue
@@ -251,12 +262,8 @@ func (c *checker) analyze() []fieldResult {
 				switch {
 				case ann && annErr != "":
 					r.annPos, r.annErr = annPos, annErr
-				case ann:
-					r.class = annClass
-				case r.capRef && r.resRef:
-					r.class = string(checkpoint.Captured)
-				default:
-					r.class = "uncovered"
+				case ann, r.capRef && r.resRef:
+					continue
 				}
 				out = append(out, r)
 			}
@@ -337,7 +344,8 @@ func (c *checker) propagateSides(decls map[*types.Func]*ast.FuncDecl) map[*types
 
 // fieldRefs records, per side, every struct field referenced in the
 // body of a sided snapshot.go function: selections (x.f, however deep
-// the chain) and composite-literal keys (T{f: v}).
+// the chain), the embedded fields a promoted selection passes through,
+// and composite-literal keys (T{f: v}).
 func (c *checker) fieldRefs(decls map[*types.Func]*ast.FuncDecl, sides map[*types.Func]int) (capRefs, resRefs map[*types.Var]bool) {
 	capRefs, resRefs = map[*types.Var]bool{}, map[*types.Var]bool{}
 	record := func(side int, v *types.Var) {
@@ -356,8 +364,19 @@ func (c *checker) fieldRefs(decls map[*types.Func]*ast.FuncDecl, sides map[*type
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if sel := c.info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal {
-					record(s, sel.Obj().(*types.Var))
+				sel := c.info.Selections[n]
+				if sel == nil {
+					break
+				}
+				path := sel.Index()
+				t := sel.Recv()
+				for _, i := range path[:len(path)-1] {
+					f := structOf(t).Field(i)
+					record(s, f.Origin())
+					t = f.Type()
+				}
+				if sel.Kind() == types.FieldVal {
+					record(s, sel.Obj().(*types.Var).Origin())
 				}
 			case *ast.CompositeLit:
 				for _, el := range n.Elts {
@@ -383,7 +402,7 @@ func (c *checker) fieldRefs(decls map[*types.Func]*ast.FuncDecl, sides map[*type
 // parseNoState scans a field's doc and trailing comments for a
 // NoStateDirective; found reports whether one exists, and errMsg is
 // nonempty when it is malformed.
-func parseNoState(groups ...*ast.CommentGroup) (found bool, pos token.Pos, class, errMsg string) {
+func parseNoState(groups ...*ast.CommentGroup) (found bool, pos token.Pos, errMsg string) {
 	for _, cg := range groups {
 		if cg == nil {
 			continue
@@ -400,9 +419,9 @@ func parseNoState(groups ...*ast.CommentGroup) (found bool, pos token.Pos, class
 				errMsg = malformed("missing \": <why>\" after the class")
 				return
 			}
-			class = strings.TrimSpace(body[:i])
+			class := strings.TrimSpace(body[:i])
 			why := strings.TrimSpace(body[i+1:])
-			if _, ok := checkpoint.ParseClass(class); !ok {
+			if !slices.Contains(classes, class) {
 				errMsg = malformed("class \"" + class + "\" is not one of " + classTokens(", "))
 				return
 			}
@@ -422,14 +441,37 @@ func malformed(detail string) string {
 		" (expected \"" + NoStateDirective + " <class>: <why>\")"
 }
 
-// classTokens joins checkpoint's class vocabulary with sep.
-func classTokens(sep string) string {
-	classes := checkpoint.Classes()
-	parts := make([]string, len(classes))
-	for i, cl := range classes {
-		parts[i] = string(cl)
+// classTokens joins the class vocabulary with sep.
+func classTokens(sep string) string { return strings.Join(classes, sep) }
+
+// embeddedName returns the identifier that names an embedded field's
+// type: T in T, *T, pkg.T, or T[A].
+func embeddedName(x ast.Expr) *ast.Ident {
+	for {
+		switch e := x.(type) {
+		case *ast.Ident:
+			return e
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.SelectorExpr:
+			return e.Sel
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		default:
+			return nil
+		}
 	}
-	return strings.Join(parts, sep)
+}
+
+// structOf returns the struct underlying t or the type t points to;
+// every step of a selection's embedding path has one.
+func structOf(t types.Type) *types.Struct {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.Underlying().(*types.Struct)
 }
 
 // calleeOf resolves a call expression to its static callee, if any.

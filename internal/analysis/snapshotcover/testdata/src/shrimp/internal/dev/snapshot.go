@@ -10,10 +10,12 @@ func (d *Dev) Snapshot() DevState {
 // quiesce runs on the capture side because Snapshot calls it.
 func (d *Dev) quiesce() {
 	_ = d.caponly
+	_ = d.depth
 }
 
 // Restore rewinds Dev.
 func (d *Dev) Restore(s DevState) {
 	d.both = s.both
 	d.resonly = 0
+	d.depth = 0
 }

@@ -48,14 +48,6 @@ type Knobs struct {
 	DUQueueDepth        *int  `json:"du_queue_depth,omitempty"`
 }
 
-// isZero reports whether no knob is set.
-func (k *Knobs) isZero() bool {
-	return k.SyscallPerSend == nil && k.InterruptPerMessage == nil &&
-		k.InterruptPerPacket == nil && k.Combining == nil &&
-		k.OutFIFOBytes == nil && k.FIFOThresholdBytes == nil &&
-		k.FIFOLowWaterBytes == nil && k.DUQueueDepth == nil
-}
-
 // apply mutates a machine configuration with the set knobs.
 func (k Knobs) apply(c *machine.Config) {
 	if k.SyscallPerSend != nil {
@@ -142,9 +134,9 @@ func ParseVariant(s string) (v Variant, ok bool, err error) {
 	return 0, false, fmt.Errorf("harness: unknown variant %q (want au or du)", s)
 }
 
-// ParseProtocol resolves an SVM protocol name; ok is false for the
+// parseProtocol resolves an SVM protocol name; ok is false for the
 // empty string (no override).
-func ParseProtocol(s string) (p svm.Protocol, ok bool, err error) {
+func parseProtocol(s string) (p svm.Protocol, ok bool, err error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "":
 		return 0, false, nil
@@ -209,7 +201,7 @@ func (c CellSpec) Compile() (Spec, error) {
 	} else if ok {
 		spec.Variant = v
 	}
-	if p, ok, err := ParseProtocol(c.Protocol); err != nil {
+	if p, ok, err := parseProtocol(c.Protocol); err != nil {
 		return Spec{}, err
 	} else if ok {
 		spec.Protocol = &p

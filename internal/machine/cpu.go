@@ -18,8 +18,6 @@ import (
 // node. Stolen time is charged at the application's next flush unless
 // it is blocked in a wait primitive, in which case the handler's
 // execution overlaps the wait.
-//
-//shrimp:state
 type CPU struct {
 	node    *Node       //shrimp:nostate wiring: back-pointer to the owning node
 	acct    *stats.Node //shrimp:nostate wiring: breakdown sink identity (application account, or a discard for handlers)

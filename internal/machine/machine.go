@@ -66,8 +66,6 @@ func MyrinetLikeConfig(n int) Config {
 }
 
 // Node is one compute node: CPU accounting, memory, memory bus, NIC.
-//
-//shrimp:state
 type Node struct {
 	ID   mesh.NodeID          //shrimp:nostate wiring: fixed node identity
 	M    *Machine             //shrimp:nostate wiring: back-pointer to the owning machine

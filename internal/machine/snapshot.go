@@ -21,8 +21,6 @@ import (
 // Snapshot captures a Machine at a quiescent instant. It stays
 // attached (memory copy-on-write stays armed) until the machine is
 // closed, so it can be restored once per branch.
-//
-//shrimp:state
 type Snapshot struct {
 	engine sim.EngineSnapshot
 	cfg    Config
@@ -38,8 +36,6 @@ type Snapshot struct {
 // returns, so accum and pending are zero then — but a handler process
 // that runs after that final flush leaves stolen time behind, to be
 // charged at the application's first flush of the next phase.
-//
-//shrimp:state
 type cpuState struct {
 	accum   [stats.NumCategories]sim.Time
 	pending sim.Time

@@ -69,7 +69,6 @@ func (p Prot) String() string {
 	}
 }
 
-//shrimp:state
 type page struct {
 	// data is the page's frame, materialized by the first write; nil
 	// means the page holds only zeroes. Most mapped pages (proxy pages

@@ -19,8 +19,6 @@ package memory
 // Restore still rewinds it to the snapshot contents.
 
 // pageMeta is the snapshot copy of one page's bookkeeping.
-//
-//shrimp:state
 type pageMeta struct {
 	mapped bool
 	prot   Prot

@@ -37,32 +37,6 @@ func TestRouteCacheMatchesPathOracle(t *testing.T) {
 	}
 }
 
-// TestNoFastPathRouting checks the NoFastPath knob still routes
-// correctly (it is the golden-test escape hatch, so it must keep
-// working) and does not populate the cache.
-func TestNoFastPathRouting(t *testing.T) {
-	e := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.NoFastPath = true
-	n := New(e, cfg)
-	delivered := 0
-	for i := 0; i < n.Nodes(); i++ {
-		n.Attach(NodeID(i), func(p *Packet) { delivered++; n.Release(p) })
-	}
-	pkt := n.Acquire()
-	pkt.Src, pkt.Dst, pkt.Size = 0, 15, 64
-	n.Send(pkt)
-	e.Run()
-	if delivered != 1 {
-		t.Fatalf("delivered %d packets, want 1", delivered)
-	}
-	for i, r := range n.routes {
-		if r != nil {
-			t.Fatalf("NoFastPath populated route cache entry %d", i)
-		}
-	}
-}
-
 // TestSendAllocationFree asserts the pooled send-deliver-release cycle
 // performs zero steady-state heap allocations.
 func TestSendAllocationFree(t *testing.T) {

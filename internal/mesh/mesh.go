@@ -50,11 +50,6 @@ type Config struct {
 	// interface through the transceiver onto the backplane (and
 	// symmetrically off it at the destination).
 	InjectDelay sim.Time
-	// NoFastPath disables the (src,dst) route cache and the packet
-	// freelist, forcing Send back onto the allocate-and-recompute path.
-	// Simulation output is identical either way — the golden test in the
-	// harness asserts it — so the knob exists only to prove that.
-	NoFastPath bool
 }
 
 // DefaultConfig matches the 16-node SHRIMP system: a 4x4 mesh with
@@ -92,8 +87,6 @@ func (d direction) String() string { return directionNames[d] }
 
 // link is a directed channel between adjacent routers with its own
 // occupancy horizon, used to model wormhole contention.
-//
-//shrimp:state
 type link struct {
 	freeAt sim.Time
 	// busy accumulates total occupied time for utilization statistics.
@@ -226,12 +219,12 @@ func (n *Network) Acquire() *Packet {
 }
 
 // Release returns a delivered packet to the freelist. Packets that were
-// constructed literally (no delivery thunk) and packets of a NoFastPath
-// network are dropped for the garbage collector instead.
+// constructed literally (no delivery thunk) are dropped for the garbage
+// collector instead.
 //
 //shrimp:hotpath
 func (n *Network) Release(pkt *Packet) {
-	if n.cfg.NoFastPath || pkt.deliver == nil {
+	if pkt.deliver == nil {
 		return
 	}
 	pkt.Payload = nil
@@ -288,9 +281,6 @@ func (n *Network) path(src, dst NodeID) []*link {
 //
 //shrimp:hotpath
 func (n *Network) route(src, dst NodeID) []*link {
-	if n.cfg.NoFastPath {
-		return n.path(src, dst)
-	}
 	idx := int(src)*n.Nodes() + int(dst)
 	if r := n.routes[idx]; r != nil {
 		return r
@@ -319,7 +309,7 @@ func (n *Network) Send(pkt *Packet) sim.Time {
 	deliver := pkt.deliver
 	if deliver == nil {
 		// Literal (unpooled) packet: build the delivery thunk once.
-		//lint:ignore hotpath fallback for hand-built literal packets (tests, NoFastPath); pooled traffic never reaches it
+		//lint:ignore hotpath fallback for hand-built literal packets (tests); pooled traffic never reaches it
 		deliver = func() { n.sinks[pkt.Dst](pkt) }
 	}
 	now := n.e.Now()

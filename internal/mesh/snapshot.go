@@ -11,16 +11,12 @@ import "shrimp/internal/sim"
 // rewound timeline identical to a cold run's.
 
 // linkState is the snapshot copy of one directed link.
-//
-//shrimp:state
 type linkState struct {
 	freeAt sim.Time
 	busy   sim.Time
 }
 
 // NetworkSnapshot captures a Network's dynamic state.
-//
-//shrimp:state
 type NetworkSnapshot struct {
 	links []linkState
 	stats Stats

@@ -29,8 +29,12 @@ type Config struct {
 	// interval.
 	CombineTimeout sim.Time
 
-	// OutFIFOBytes is the capacity of the outgoing FIFO (§4.5.2).
-	// SHRIMP shipped 32 KB (8-byte-wide, 4 K deep).
+	// OutFIFOBytes is the nominal size of the outgoing FIFO (§4.5.2).
+	// SHRIMP shipped 32 KB (8-byte-wide, 4 K deep). No simulator code
+	// reads it: the FIFO is modelled only through FIFOThresholdBytes
+	// and FIFOLowWaterBytes, so occupancy is not bounded by this value.
+	// It stays in the config so a what-if names the FIFO it models and
+	// the cache key tells such cells apart.
 	OutFIFOBytes int
 	// FIFOThresholdBytes raises the flow-control interrupt when exceeded.
 	FIFOThresholdBytes int
@@ -41,12 +45,6 @@ type Config struct {
 	// the NIC can hold (§4.5.3). SHRIMP as built is 1; the experiment
 	// firmware implemented 2.
 	DUQueueDepth int
-
-	// NoPool disables the Packet and transfer-request freelists, forcing
-	// a fresh allocation per AU/DU packet. Simulation output is
-	// identical either way — the golden test in the harness asserts it —
-	// so the knob exists only to prove that.
-	NoPool bool
 
 	// InterruptPerMessage forces a (null-handler) interrupt on every
 	// arriving message, approximating traditional NIC designs (§4.4).

@@ -319,12 +319,12 @@ func (n *NIC) allocPacket() *Packet {
 }
 
 // releasePacket returns a consumed packet to its owning NIC's freelist.
-// Literal packets (no owner) and pooling-disabled NICs drop it instead.
+// Literal packets (no owner) are dropped instead.
 //
 //shrimp:hotpath
 func releasePacket(pkt *Packet) {
 	o := pkt.owner
-	if o == nil || o.cfg.NoPool {
+	if o == nil {
 		return
 	}
 	o.pktFree = append(o.pktFree, pkt)
@@ -348,9 +348,6 @@ func (n *NIC) allocDU() *duRequest {
 //
 //shrimp:hotpath
 func (n *NIC) releaseDU(r *duRequest) {
-	if n.cfg.NoPool {
-		return
-	}
 	n.duFree = append(n.duFree, r)
 }
 

@@ -13,8 +13,6 @@ import "fmt"
 // a cold run's engines sit between phases.
 
 // NICSnapshot captures one NIC's dynamic state.
-//
-//shrimp:state
 type NICSnapshot struct {
 	cfg      Config
 	opt      []OPTEntry

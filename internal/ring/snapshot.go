@@ -11,8 +11,6 @@ import "shrimp/internal/memory"
 // counters are rewound by the vmmc layer.
 
 // Snapshot captures one Ring's dynamic state.
-//
-//shrimp:state
 type Snapshot struct {
 	readPos    uint64
 	uncredited int

@@ -13,8 +13,6 @@ import "fmt"
 // the identical (t, seq) calendar a cold run would build.
 
 // EngineSnapshot captures the engine's deterministic counters.
-//
-//shrimp:state
 type EngineSnapshot struct {
 	now   Time
 	seq   uint64

@@ -18,16 +18,12 @@ import (
 // branches).
 
 // runtimeState is the snapshot copy of one rank's dynamic state.
-//
-//shrimp:state
 type runtimeState struct {
 	status   []pageStatus
 	barEpoch int
 }
 
 // lockSnap is the snapshot copy of one lock's manager-side state.
-//
-//shrimp:state
 type lockSnap struct {
 	held      bool
 	holder    int
@@ -38,8 +34,6 @@ type lockSnap struct {
 }
 
 // SystemSnapshot captures the whole SVM system.
-//
-//shrimp:state
 type SystemSnapshot struct {
 	cfg      Config
 	brk      int

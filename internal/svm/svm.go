@@ -97,7 +97,6 @@ const (
 	pgDirty              // write-mapped since the last release
 )
 
-//shrimp:state
 type pageState struct {
 	status pageStatus
 	twin   []byte //shrimp:nostate asserted: Quiescent requires every twin flushed; Restore nils it
@@ -115,8 +114,6 @@ type System struct {
 }
 
 // lockState lives on the lock's manager node.
-//
-//shrimp:state
 type lockState struct {
 	held    bool
 	holder  int
@@ -132,8 +129,6 @@ type lockState struct {
 }
 
 // Runtime is the per-node SVM library instance.
-//
-//shrimp:state
 type Runtime struct {
 	s    *System        //shrimp:nostate wiring: back-pointer to the owning system
 	rank int            //shrimp:nostate wiring: fixed rank identity

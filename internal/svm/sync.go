@@ -151,7 +151,6 @@ func (rt *Runtime) grantLock(p *sim.Proc, lock, to int) {
 // notices, merges them into a global invalidation list annotated with
 // sole-writer information, and releases everyone.
 
-//shrimp:state
 type barrierState struct {
 	n       int //shrimp:nostate wiring: fixed participant count
 	epoch   int

@@ -15,8 +15,6 @@ import (
 // body, and a rewound branch must see the handler set the warmup left).
 
 // exportState is the snapshot copy of one Export's mutable fields.
-//
-//shrimp:state
 type exportState struct {
 	ex         *Export
 	deliveries int64
@@ -24,8 +22,6 @@ type exportState struct {
 }
 
 // EndpointSnapshot captures one endpoint's dynamic state.
-//
-//shrimp:state
 type EndpointSnapshot struct {
 	pageToExport  []*Export
 	nextExport    int
@@ -35,8 +31,6 @@ type EndpointSnapshot struct {
 }
 
 // SystemSnapshot captures every endpoint of a VMMC system.
-//
-//shrimp:state
 type SystemSnapshot struct {
 	eps []EndpointSnapshot
 }

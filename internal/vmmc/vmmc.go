@@ -98,8 +98,6 @@ func (ep *Endpoint) WaitAnyUpdate(p *sim.Proc, already int64) int64 {
 
 // Export is an exported receive buffer: a run of pinned, contiguous
 // virtual pages that remote importers can deliver into.
-//
-//shrimp:state
 type Export struct {
 	ep         *Endpoint   //shrimp:nostate wiring: back-pointer to the owning endpoint
 	id         int         //shrimp:nostate wiring: fixed export identity
